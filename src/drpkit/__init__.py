@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     DrpkitError,
     LostFrontError,
+    NonFiniteResultError,
     NormGuardError,
     SingularSystemError,
     TruncationMismatchError,
@@ -52,6 +53,7 @@ __all__ = [
     "ConfigError",
     "DrpkitError",
     "LostFrontError",
+    "NonFiniteResultError",
     "NormGuardError",
     "SingularSystemError",
     "TruncationMismatchError",

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     ConfigError,
     DrpkitError,
     LostFrontError,
+    NonFiniteResultError,
     NormGuardError,
     SingularSystemError,
 )
@@ -83,7 +85,20 @@ def _write_text(path: Path, text: str):
 
 
 def _write_json(path: Path, payload: dict):
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResultError(f"non-finite number in the result; {path} not written") from exc
+    _write_text(path, text + "\n")
+
+
+def _warn(message: str):
+    print(f"drpkit: warning: {message}", file=sys.stderr)
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning that prints one line, without the source location."""
+    _warn(str(message))
 
 
 def _load_config_file(path: str | None) -> dict[str, str]:
@@ -122,6 +137,25 @@ def _require_positive(name: str, value: float) -> float:
     if value is None or not math.isfinite(value) or value <= 0.0:
         raise ConfigError(f"{name} must be finite and positive, got {value!r}")
     return float(value)
+
+
+def _require_inverse_width(C1: float) -> float:
+    """C1 must be finite and a normal float; a subnormal C1 overflows the kink algebra."""
+    if not math.isfinite(C1) or abs(C1) < sys.float_info.min:
+        raise ConfigError(
+            f"C1 must be finite with magnitude at least {sys.float_info.min!r}, got {C1!r}"
+        )
+    return C1
+
+
+def _make_grid(N: int, h: float, coeffs) -> sim.Grid1D:
+    try:
+        grid = sim.Grid1D(N=N, h=h)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if grid.N <= 2 * coeffs.m:
+        raise ConfigError(f"N={grid.N} too small for half-width {coeffs.m}")
+    return grid
 
 
 def _resolve_half_width(opts: _Options) -> int:
@@ -319,8 +353,7 @@ def cmd_soliton(args) -> int:
     C = opts.get("C", float, 1.0)
     C1 = opts.get("C1", float, 1.0)
     V0 = opts.get("V0", float, 0.0)
-    if C1 == 0.0:
-        raise ConfigError("C1 must be nonzero")
+    _require_inverse_width(C1)
     coeffs = optimize_coefficients(m)
     try:
         payload = _soliton_payload(
@@ -351,7 +384,7 @@ def _build_initial(opts, grid, params, coeffs):
         return sim.inject_constant(grid, value), None, None, {"init": init, "value": value}
     if init == "kink":
         C = opts.get("C", float, 1.0)
-        C1 = opts.get("C1", float, 0.25)
+        C1 = _require_inverse_width(opts.get("C1", float, 0.25))
         V0 = opts.get("V0", float, 0.0)
         try:
             sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0)
@@ -362,7 +395,7 @@ def _build_initial(opts, grid, params, coeffs):
         return sim.inject_kink(grid, sol), sol, level, echo
     if init == "gaussian":
         amplitude = opts.get("amplitude", float, 1.0)
-        width = opts.get("width", float, grid.length / 12.0)
+        width = _require_positive("width", opts.get("width", float, grid.length / 12.0))
         center = opts.get("center", float, grid.length / 2.0)
         level = opts.get("level", float, amplitude / 2.0)
         echo = {"init": init, "amplitude": amplitude, "width": width,
@@ -395,12 +428,15 @@ def _dominant_mode_speed(state, coeffs, params, grid) -> float | None:
     return -float(np.angle(g)) * grid.h / (params.tau * zeta)
 
 
-def _snapshot_csv(state, grid) -> str:
-    lines = [f"# t={_fmt(state.t)} N={grid.N} h={_fmt(grid.h)}"]
-    x = grid.nodes()
-    for i in range(grid.N):
-        lines.append(f"{i},{_fmt(x[i])},{_fmt(state.values[i])}")
-    return "\n".join(lines) + "\n"
+def _row_prefixes(grid) -> list[str]:
+    """The ``i,x,`` start of every snapshot row; the same for each snapshot of a run."""
+    return [f"{i},{x!r}," for i, x in enumerate(grid.nodes().tolist())]
+
+
+def _snapshot_csv(state, grid, prefixes: list[str]) -> str:
+    # repr of a tolist() float is the string _fmt gives for the same value
+    rows = map(str.__add__, prefixes, map(repr, state.values.tolist()))
+    return f"# t={_fmt(state.t)} N={grid.N} h={_fmt(grid.h)}\n" + "\n".join(rows) + "\n"
 
 
 def cmd_simulate(args) -> int:
@@ -412,13 +448,8 @@ def cmd_simulate(args) -> int:
     snap_every = opts.get("snap_every", int, 10)
     if steps < 1 or snap_every < 1:
         raise ConfigError("steps and snap_every must be positive")
-    try:
-        grid = sim.Grid1D(N=N, h=params.h)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     coeffs = optimize_coefficients(m)
-    if grid.N <= 2 * coeffs.m:
-        raise ConfigError(f"N={grid.N} too small for half-width {coeffs.m}")
+    grid = _make_grid(N, params.h, coeffs)
     initial, sol, level, init_echo = _build_initial(opts, grid, params, coeffs)
 
     predicted = None
@@ -426,11 +457,7 @@ def cmd_simulate(args) -> int:
         predicted = params.U0 * sol.v
         budget = sim.horizon_steps(grid, predicted, params)
         if steps > budget:
-            print(
-                f"warning: {steps} steps exceed the front-interaction horizon "
-                f"({budget:.0f} steps)",
-                file=sys.stderr,
-            )
+            _warn(f"{steps} steps exceed the front-interaction horizon ({budget:.0f} steps)")
     elif init_echo["init"] in ("gaussian", "mode", "random"):
         predicted = _dominant_mode_speed(initial, coeffs, params, grid)
 
@@ -440,8 +467,11 @@ def cmd_simulate(args) -> int:
     )
 
     base = _out_dir(opts.get("outdir", str, "."))
+    prefixes = _row_prefixes(grid)
     for snap in history:
-        _write_text(base / f"snapshot_{snap.step_count:06d}.csv", _snapshot_csv(snap, grid))
+        _write_text(
+            base / f"snapshot_{snap.step_count:06d}.csv", _snapshot_csv(snap, grid, prefixes)
+        )
 
     measured = None
     if level is not None:
@@ -493,6 +523,7 @@ def cmd_report(args) -> int:
     C = opts.get("C", float, 1.0)
     C1 = opts.get("C1", float, 1.0)
     V0 = opts.get("V0", float, 0.0)
+    _require_inverse_width(C1)
     samples = opts.get("samples", int, 101)
     coeffs = optimize_coefficients(m)
 
@@ -522,7 +553,7 @@ def cmd_report(args) -> int:
         N = opts.get("N", int, 128)
         steps = opts.get("steps", int, 100)
         snap_every = opts.get("snap_every", int, 10)
-        grid = sim.Grid1D(N=N, h=sim_params.h)
+        grid = _make_grid(N, sim_params.h, coeffs)
         try:
             kink = wave.closed_form_kink(sim_params, coeffs, C=C, C1=0.25, V0=V0)
         except ZeroDivisionError as exc:
@@ -662,17 +693,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"drpkit: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (BlowUpError, NormGuardError, SingularSystemError) as exc:
-        print(f"drpkit: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except DrpkitError as exc:
-        print(f"drpkit: error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"drpkit: configuration error: {exc}", file=sys.stderr)
+            return 2
+        except (BlowUpError, NormGuardError, NonFiniteResultError, OverflowError,
+                SingularSystemError) as exc:
+            print(f"drpkit: numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except DrpkitError as exc:
+            print(f"drpkit: error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

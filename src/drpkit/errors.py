@@ -45,3 +45,7 @@ class LostFrontError(DrpkitError):
 
 class ConfigError(DrpkitError):
     """Invalid or inconsistent run configuration."""
+
+
+class NonFiniteResultError(DrpkitError):
+    """A result holds NaN or an infinity, which no artifact may contain."""

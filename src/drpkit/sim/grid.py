@@ -59,8 +59,13 @@ class FieldState:
             )
 
     def l2_norm(self) -> float:
-        # plain pairwise sum so the result is independent of BLAS threading
-        return math.sqrt(float(np.sum(self.values * self.values)))
+        return l2_norm(self.values)
+
+
+def l2_norm(values: np.ndarray) -> float:
+    """Discrete L2 norm of a field's values."""
+    # plain pairwise sum so the result is independent of BLAS threading
+    return math.sqrt(float(np.sum(values * values)))
 
 
 def mirrored_kink_profile(grid: Grid1D, sol: KinkSolution, shift: float = 0.0) -> np.ndarray:
@@ -74,9 +79,30 @@ def mirrored_kink_profile(grid: Grid1D, sol: KinkSolution, shift: float = 0.0) -
     """
     L = grid.length
     x_up = (grid.N // 4) * grid.h
-    d = np.mod(grid.nodes() - shift - x_up + L / 2.0, L) - L / 2.0
-    tri = np.where(np.abs(d) <= L / 4.0, d, np.sign(d) * (L / 2.0 - np.abs(d)))
-    return sol.U1 * np.tanh(sol.C1 * tri) + sol.V0
+    # d = mod(x - shift - x_up + L/2, L) - L/2, computed in place.  The nodes
+    # ascend, so d[0] and d[-1] bound the argument.  On [-L, 2L) one
+    # subtraction or addition of L rounds exactly as np.mod does (fmod is
+    # exact there); the only difference, -0.0 for +0.0, vanishes at - L/2.
+    d = grid.nodes()
+    d -= shift
+    d -= x_up
+    d += L / 2.0
+    if -L <= d[0] and d[-1] < 2.0 * L:
+        np.subtract(d, L, out=d, where=d >= L)
+        np.add(d, L, out=d, where=d < 0.0)
+    else:
+        d = np.mod(d, L)
+    d -= L / 2.0
+    # triangle wave: d itself within L/4 of the up-step, else mirrored
+    far = np.abs(d)
+    mirrored = far > L / 4.0
+    np.subtract(L / 2.0, far, out=far)
+    np.copysign(far, d, out=d, where=mirrored)
+    d *= sol.C1
+    np.tanh(d, out=d)
+    d *= sol.U1
+    d += sol.V0
+    return d
 
 
 def inject_kink(grid: Grid1D, sol: KinkSolution) -> FieldState:

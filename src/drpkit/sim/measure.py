@@ -16,14 +16,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _rising_crossings(values: np.ndarray, level: float) -> list[float]:
     """Interpolated positions (index units) where the field rises through the level."""
-    n = values.shape[0]
     nxt = np.roll(values, -1)
-    out = []
-    for i in range(n):
-        lo, hi = values[i], nxt[i]
-        if lo < level <= hi and hi > lo:
-            out.append(i + (level - lo) / (hi - lo))
-    return out
+    (idx,) = np.nonzero((values < level) & (level <= nxt) & (nxt > values))
+    lo, hi = values[idx], nxt[idx]
+    return (idx + (level - lo) / (hi - lo)).tolist()
 
 
 def measure_speed(history: list[FieldState], level: float) -> float:
@@ -75,8 +71,9 @@ class PersistenceReport:
 
 
 def _shape_error(values: np.ndarray, grid: Grid1D, sol: KinkSolution, shift: float, ac_norm: float) -> float:
-    template = mirrored_kink_profile(grid, sol, shift=shift)
-    return float(np.sqrt(np.sum((values - template) ** 2))) / ac_norm
+    residual = mirrored_kink_profile(grid, sol, shift=shift)
+    np.subtract(values, residual, out=residual)
+    return float(np.sqrt(np.sum(np.square(residual, out=residual)))) / ac_norm
 
 
 def measure_persistence(

@@ -18,7 +18,7 @@ from ..errors import BlowUpError, NormGuardError
 from ..modeq import SchemeParams, discrete_symbol
 from ..stencil import StencilCoefficients
 from . import _fallback
-from .grid import FieldState, Grid1D
+from .grid import FieldState, Grid1D, l2_norm
 
 if os.environ.get("DRPKIT_FORCE_FALLBACK"):
     _kernel_step_many = None
@@ -34,6 +34,11 @@ step_many = _kernel_step_many if COMPILED_AVAILABLE else _fallback.step_many
 
 #: Abort threshold for the L2 growth guard.
 NORM_GUARD_FACTOR = 1e3
+
+#: Most steps taken between two checks of the norm guard.  Fixed, so the
+#: step a run aborts at does not depend on the snapshot stride; small, so
+#: few steps are redone when a tripped check is replayed step by step.
+GUARD_STRIDE = 16
 
 
 def _check_compatible(n_nodes: int, coeffs: StencilCoefficients):
@@ -107,8 +112,11 @@ def run(
 
     The initial state is snapshot zero.  Aborts with NormGuardError once
     the L2 norm exceeds ``norm_guard`` times its initial value, and with
-    BlowUpError on non-finite values.  With ``use_oracle`` every snapshot
-    is computed spectrally from the initial state instead of by stepping.
+    BlowUpError on non-finite values.  Stepping checks both every
+    ``GUARD_STRIDE`` steps whatever ``snap_every`` is, and the error names
+    the first step past the guard.  With ``use_oracle`` every snapshot is
+    computed spectrally from the initial state instead of by stepping, and
+    the checks run at the snapshots.
     """
     if snap_every < 1:
         raise ValueError("snap_every must be at least 1")
@@ -116,26 +124,48 @@ def run(
     snapshots = [initial]
     initial_norm = initial.l2_norm()
     guard_limit = norm_guard * initial_norm if initial_norm > 0.0 else math.inf
-    coef = params.tau / params.h
-    current = initial.values
-    done = 0
-    while done < n_steps:
-        chunk = min(snap_every, n_steps - done)
-        done += chunk
-        if use_oracle:
-            state = spectral_oracle(initial, coeffs, params, done)
-        else:
-            current = step_many(current, coeffs.gamma_array, coef, chunk)
-            if not np.all(np.isfinite(current)):
-                raise BlowUpError(f"field blew up by step {done}", step_count=done)
-            state = FieldState(
-                values=current,
-                t=initial.t + done * params.tau,
-                step_count=initial.step_count + done,
-            )
-        if state.l2_norm() > guard_limit:
+
+    def check(values, done):
+        if not np.all(np.isfinite(values)):
+            raise BlowUpError(f"field blew up by step {done}", step_count=done)
+        if l2_norm(values) > guard_limit:
             raise NormGuardError(
                 f"L2 norm exceeded {norm_guard:g} x initial by step {done}", step_count=done
             )
-        snapshots.append(state)
+
+    gamma = coeffs.gamma_array
+    coef = params.tau / params.h
+    current = initial.values
+    done = 0
+    # overflow past the guard is caught by the checks, not reported by NumPy
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < n_steps:
+            end = min(done + snap_every, n_steps)
+            if use_oracle:
+                done = end
+                state = spectral_oracle(initial, coeffs, params, done)
+                check(state.values, done)
+                snapshots.append(state)
+                continue
+            while done < end:
+                stride = min(GUARD_STRIDE, end - done)
+                stepped = step_many(current, gamma, coef, stride)
+                norm = l2_norm(stepped)
+                # a finite norm also proves every value finite
+                if math.isfinite(norm) and norm <= guard_limit:
+                    current = stepped
+                    done += stride
+                    continue
+                # replay one step at a time to report the first step past the guard
+                for _ in range(stride):
+                    current = step_many(current, gamma, coef, 1)
+                    done += 1
+                    check(current, done)
+            snapshots.append(
+                FieldState(
+                    values=current,
+                    t=initial.t + done * params.tau,
+                    step_count=initial.step_count + done,
+                )
+            )
     return snapshots

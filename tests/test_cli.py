@@ -328,6 +328,49 @@ def test_child_process_imports_same_drpkit(tmp_path, child_env):
     assert Path(proc.stdout.strip()).resolve() == Path(drpkit.__file__).resolve()
 
 
+class TestFailureContract:
+    """Bad input exits 2 and numerical failure 3, with no artifact written.
+
+    Every message, warnings included, is one ``drpkit:`` line on stderr:
+    no traceback, no source location, no NumPy RuntimeWarning.
+    """
+
+    @pytest.mark.parametrize(
+        "command, code, message",
+        [
+            (["report", "--N", "5", "--m", "3"], 2, "too small for half-width 3"),
+            (["simulate", "--init", "gaussian", "--width", "0"], 2, "width must be"),
+            (["soliton", "--C1", "1e-320", "--verify"], 2, "C1 must be finite"),
+            (["soliton", "--C", "1e308", "--C1", "1e-300", "--json", "f.json"], 3, "non-finite"),
+            (["soliton", "--sigma", "1e300", "--verify"], 3, "numerical failure"),
+            (["simulate", "--N", "64", "--sigma", "5", "--steps", "1000",
+              "--snap-every", "1000"], 3, "by step 8"),
+            (["simulate", "--N", "64", "--sigma", "5", "--steps", "1000",
+              "--snap-every", "1"], 3, "by step 8"),
+            (["simulate", "--C1", "0.3"], 0, "drpkit: warning: kink width"),
+        ],
+    )
+    def test_exit_code_and_one_line_per_message(self, tmp_path, child_env, command, code, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "drpkit.cli", *command],
+            cwd=tmp_path,
+            env=child_env(DRPKIT_OUTPUT_DIR=None),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert all(line.startswith("drpkit: ") for line in lines), lines
+        if code == 0:
+            assert len(lines) == 1 and message in lines[0]
+        else:
+            errors = [line for line in lines if not line.startswith("drpkit: warning: ")]
+            assert len(errors) == 1 and message in errors[0], lines
+            assert not list(tmp_path.glob("*.json"))
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "command",

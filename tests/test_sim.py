@@ -1,6 +1,7 @@
 """Stepping kernels against the spectral oracle and analytic mode behavior."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from drpkit import sim
 from drpkit.errors import BlowUpError, NormGuardError
 from drpkit.modeq import SchemeParams, discrete_symbol
 from drpkit.sim import _fallback
+from drpkit.sim.stepper import GUARD_STRIDE
 from drpkit.stencil import optimize_coefficients
 from drpkit.wave import closed_form_kink
 
@@ -173,6 +175,41 @@ class TestRun:
         state = sim.inject_random(grid, seed=10)
         with pytest.raises(NormGuardError):
             sim.run(state, m1_coeffs, params, n_steps=100, snap_every=1)
+
+    @pytest.mark.parametrize("snap_every", [1, 7, GUARD_STRIDE, GUARD_STRIDE + 1, 1000])
+    def test_norm_guard_names_first_step_whatever_the_stride(self, m1_coeffs, snap_every):
+        params = params_with(5.0)
+        grid = sim.Grid1D(64, 1.0)
+        state = sim.inject_kink(grid, closed_form_kink(params, m1_coeffs, C=1.0, C1=0.25))
+        limit = sim.NORM_GUARD_FACTOR * state.l2_norm()
+        u, first = state.values, 0
+        while math.sqrt(float(np.sum(u * u))) <= limit:
+            u = sim.step_many(u, m1_coeffs.gamma_array, params.tau / params.h, 1)
+            first += 1
+        with pytest.raises(NormGuardError) as info:
+            sim.run(state, m1_coeffs, params, n_steps=1000, snap_every=snap_every)
+        assert info.value.step_count == first == 8
+        assert f"by step {first}" in str(info.value)
+
+    def test_overflow_inside_a_guard_stride_is_silent(self, m1_coeffs):
+        # sigma = 1e100 overflows within three steps, before the stride ends
+        params = params_with(1e100)
+        state = sim.inject_random(sim.Grid1D(64, 1.0), seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormGuardError) as info:
+                sim.run(state, m1_coeffs, params, n_steps=100, snap_every=100)
+        assert info.value.step_count == 1
+
+    def test_guard_stride_leaves_snapshots_unchanged(self, m3_coeffs):
+        params = params_with(0.1)
+        state = sim.inject_random(sim.Grid1D(128, 1.0), seed=11)
+        coarse = sim.run(state, m3_coeffs, params, n_steps=70, snap_every=35)
+        fine = sim.run(state, m3_coeffs, params, n_steps=70, snap_every=1)
+        direct = sim.step_many(state.values, m3_coeffs.gamma_array, params.tau / params.h, 70)
+        assert np.array_equal(coarse[-1].values, fine[-1].values)
+        assert np.array_equal(coarse[-1].values, direct)
+        assert np.array_equal(coarse[1].values, fine[35].values)
 
     def test_horizon_budget(self, m1_coeffs):
         params = params_with(0.1)
