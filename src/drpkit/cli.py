@@ -84,12 +84,16 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
-def _write_json(path: Path, payload: dict):
+def _json_text(payload: dict) -> str:
+    """The artifact text of a payload; NonFiniteResultError if it holds NaN or an infinity."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise NonFiniteResultError(f"non-finite number in the result; {path} not written") from exc
-    _write_text(path, text + "\n")
+        raise NonFiniteResultError("non-finite number in the result; nothing written") from exc
+
+
+def _write_json(path: Path, payload: dict):
+    _write_text(path, _json_text(payload))
 
 
 def _warn(message: str):
@@ -146,6 +150,24 @@ def _require_inverse_width(C1: float) -> float:
             f"C1 must be finite with magnitude at least {sys.float_info.min!r}, got {C1!r}"
         )
     return C1
+
+
+def _require_run_length(steps: int, snap_every: int):
+    if steps < 1 or snap_every < 1:
+        raise ConfigError("steps and snap_every must be positive")
+
+
+def _inject_kink(grid, sol) -> sim.FieldState:
+    """The kink's initial state, which must not be constant.
+
+    The state is the unshifted template of the persistence fit, whose shape
+    errors are divided by its AC norm ||kink - V0||_2; a kink whose values
+    all equal V0 (U1 = 0, or U1 lost under V0) has none.
+    """
+    initial = sim.inject_kink(grid, sol)
+    if sim.grid.l2_norm(initial.values - sol.V0) == 0.0:
+        raise ConfigError(f"the kink is constant (U1 = {sol.U1!r}); it has no shape to track")
+    return initial
 
 
 def _make_grid(N: int, h: float, coeffs) -> sim.Grid1D:
@@ -258,7 +280,8 @@ def cmd_dispersion(args) -> int:
     coeffs = optimize_coefficients(m)
     rows = dispersion_samples(coeffs, samples)
     lines = [f"# m={m} samples={samples}", "zeta,lambda_bar_h,error"]
-    lines += [f"{_fmt(r.zeta)},{_fmt(r.lambda_bar_h)},{_fmt(r.error)}" for r in rows]
+    # the rows hold Python floats, whose repr is the string _fmt gives
+    lines += [f"{r.zeta!r},{r.lambda_bar_h!r},{r.error!r}" for r in rows]
     text = "\n".join(lines) + "\n"
     if args.csv:
         _write_text(_out_path(args.csv), text)
@@ -313,7 +336,10 @@ def _soliton_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples
         derived = wave.collect_system(wave.substitute_ansatz(ode, ansatz))
         derived_res = wave.evaluate_system(derived, report.values)
         xi = np.linspace(-xi_max, xi_max, xi_samples)
-        r = wave.residual(ode, sol, xi)
+        # an overflowed kink gives a non-finite residual, which the strict
+        # serialization reports as one error; NumPy need not warn about it too
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = wave.residual(ode, sol, xi)
         payload["condensed_system"] = {
             "residuals": list(report.residuals),
             "max_abs": float(np.max(np.abs(report.residuals))),
@@ -328,19 +354,16 @@ def _soliton_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples
             "r": [float(x) for x in r],
             "limit": -C,
         }
+        derived_branches = wave.solve_system(derived)
+        condensed_branches = wave.solve_system(
+            wave.condensed_coefficient_system(params, coeffs, sol.C1)
+        )
         payload["branches"] = {
-            "derived": [b.to_json() for b in wave.solve_system(derived)],
-            "condensed": [
-                b.to_json()
-                for b in wave.solve_system(
-                    wave.condensed_coefficient_system(params, coeffs, sol.C1)
-                )
-            ],
+            "derived": [b.to_json() for b in derived_branches],
+            "condensed": [b.to_json() for b in condensed_branches],
             "summary": {
-                "derived": wave.describe_solution_set(wave.solve_system(derived)),
-                "condensed": wave.describe_solution_set(
-                    wave.solve_system(wave.condensed_coefficient_system(params, coeffs, sol.C1))
-                ),
+                "derived": wave.describe_solution_set(derived_branches),
+                "condensed": wave.describe_solution_set(condensed_branches),
             },
         }
     return payload
@@ -361,6 +384,8 @@ def cmd_soliton(args) -> int:
         )
     except ZeroDivisionError as exc:
         raise ConfigError(str(exc)) from exc
+    # serialized first, so a non-finite result is neither printed nor written
+    text = _json_text(payload)
     sol = payload["solution"]
     print(f"kink speed v = {_fmt(sol['v'])}")
     print(f"amplitude U1 = {_fmt(sol['U1'])}")
@@ -369,7 +394,7 @@ def cmd_soliton(args) -> int:
         print(f"condensed-system residual max = {_fmt(payload['condensed_system']['max_abs'])}")
         print(f"derived-system residual max = {_fmt(payload['derived_system']['max_abs'])}")
     if args.json:
-        _write_json(_out_path(args.json), payload)
+        _write_text(_out_path(args.json), text)
     return 0
 
 
@@ -392,7 +417,7 @@ def _build_initial(opts, grid, params, coeffs):
             raise ConfigError(str(exc)) from exc
         level = opts.get("level", float, sol.V0)
         echo = {"init": init, "C": C, "C1": C1, "V0": V0, "level": level}
-        return sim.inject_kink(grid, sol), sol, level, echo
+        return _inject_kink(grid, sol), sol, level, echo
     if init == "gaussian":
         amplitude = opts.get("amplitude", float, 1.0)
         width = _require_positive("width", opts.get("width", float, grid.length / 12.0))
@@ -446,8 +471,7 @@ def cmd_simulate(args) -> int:
     N = opts.get("N", int, 256)
     steps = opts.get("steps", int, 200)
     snap_every = opts.get("snap_every", int, 10)
-    if steps < 1 or snap_every < 1:
-        raise ConfigError("steps and snap_every must be positive")
+    _require_run_length(steps, snap_every)
     coeffs = optimize_coefficients(m)
     grid = _make_grid(N, params.h, coeffs)
     initial, sol, level, init_echo = _build_initial(opts, grid, params, coeffs)
@@ -553,12 +577,13 @@ def cmd_report(args) -> int:
         N = opts.get("N", int, 128)
         steps = opts.get("steps", int, 100)
         snap_every = opts.get("snap_every", int, 10)
+        _require_run_length(steps, snap_every)
         grid = _make_grid(N, sim_params.h, coeffs)
         try:
             kink = wave.closed_form_kink(sim_params, coeffs, C=C, C1=0.25, V0=V0)
         except ZeroDivisionError as exc:
             raise ConfigError(str(exc)) from exc
-        initial = sim.inject_kink(grid, kink)
+        initial = _inject_kink(grid, kink)
         history = sim.run(initial, coeffs, sim_params, n_steps=steps, snap_every=snap_every)
         try:
             measured = sim.measure_speed(history, kink.V0) * grid.h

@@ -116,7 +116,9 @@ def run(
     ``GUARD_STRIDE`` steps whatever ``snap_every`` is, and the error names
     the first step past the guard.  With ``use_oracle`` every snapshot is
     computed spectrally from the initial state instead of by stepping, and
-    the checks run at the snapshots.
+    the checks run at the snapshots; a tripped snapshot is bisected with
+    further oracle calls, so the error names the first step past the guard
+    there too.
     """
     if snap_every < 1:
         raise ValueError("snap_every must be at least 1")
@@ -133,6 +135,15 @@ def run(
                 f"L2 norm exceeded {norm_guard:g} x initial by step {done}", step_count=done
             )
 
+    def oracle(done):
+        try:
+            state = spectral_oracle(initial, coeffs, params, done)
+        except BlowUpError:
+            # FieldState rejects the non-finite values before check sees them
+            raise BlowUpError(f"field blew up by step {done}", step_count=done) from None
+        check(state.values, done)
+        return state
+
     gamma = coeffs.gamma_array
     coef = params.tau / params.h
     current = initial.values
@@ -142,10 +153,21 @@ def run(
         while done < n_steps:
             end = min(done + snap_every, n_steps)
             if use_oracle:
+                try:
+                    snapshots.append(oracle(end))
+                except (BlowUpError, NormGuardError) as exc:
+                    # |g| >= 1 for every mode, so the norm does not decrease
+                    # with the step count: bisect (done, end] for the first trip
+                    first, lo, hi = exc, done, end
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        try:
+                            oracle(mid)
+                            lo = mid
+                        except (BlowUpError, NormGuardError) as mid_exc:
+                            first, hi = mid_exc, mid
+                    raise first from None
                 done = end
-                state = spectral_oracle(initial, coeffs, params, done)
-                check(state.values, done)
-                snapshots.append(state)
                 continue
             while done < end:
                 stride = min(GUARD_STRIDE, end - done)

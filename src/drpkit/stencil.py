@@ -208,7 +208,8 @@ def dispersion_samples(coeffs: StencilCoefficients, n: int) -> list[DispersionSa
     else:
         zetas = np.linspace(-_BAND_EDGE, _BAND_EDGE, n)
     lams = effective_wavenumber(coeffs, zetas)
+    # the array subtraction is the scalar z - l of every row, element by element
     return [
-        DispersionSample(zeta=float(z), lambda_bar_h=float(l), error=float(z - l))
-        for z, l in zip(zetas, lams)
+        DispersionSample(zeta=z, lambda_bar_h=l, error=e)
+        for z, l, e in zip(zetas.tolist(), lams.tolist(), (zetas - lams).tolist())
     ]

@@ -10,6 +10,7 @@ arithmetic is needed.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 
 SYMBOLS = ("U1", "V1", "V0", "v", "C")
@@ -42,8 +43,22 @@ class Poly:
         self.terms = pruned
 
     @classmethod
+    def _trusted(cls, terms: dict[tuple[int, ...], float]) -> "Poly":
+        """Take over a dict of tuple monomials to floats, dropping exact zeros only.
+
+        For the arithmetic below, whose keys are tuples and whose values are
+        floats already; it skips the coercion of the public constructor.
+        The caller hands the dict over and does not change it afterwards.
+        """
+        out = cls.__new__(cls)
+        if 0.0 in terms.values():
+            terms = {mono: c for mono, c in terms.items() if c != 0.0}
+        out.terms = terms
+        return out
+
+    @classmethod
     def const(cls, value: float) -> "Poly":
-        return cls({_ZERO_MONO: float(value)})
+        return cls._trusted({_ZERO_MONO: float(value)})
 
     @classmethod
     def var(cls, name: str) -> "Poly":
@@ -64,14 +79,15 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, 0.0) + coeff
-        return Poly(out)
+            out[mono] = get(mono, 0.0) + coeff
+        return Poly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._trusted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -87,11 +103,14 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         out: dict[tuple[int, ...], float] = {}
+        get = out.get
+        add = operator.add
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = out.get(mono, 0.0) + c1 * c2
-        return Poly(out)
+            for m2, c2 in right:
+                mono = tuple(map(add, m1, m2))
+                out[mono] = get(mono, 0.0) + c1 * c2
+        return Poly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -140,32 +159,38 @@ class Poly:
     def coefficient_poly(self, name: str, power: int) -> "Poly":
         """Collect the coefficient of name**power as a polynomial in the rest."""
         idx = _check_symbol(name)
-        out: dict[tuple[int, ...], float] = {}
-        for mono, coeff in self.terms.items():
-            if mono[idx] == power:
-                reduced = tuple(0 if i == idx else e for i, e in enumerate(mono))
-                out[reduced] = out.get(reduced, 0.0) + coeff
-        return Poly(out)
+        # monomials with the same power of name reduce to distinct monomials
+        return Poly._trusted({
+            mono[:idx] + (0,) + mono[idx + 1:]: coeff
+            for mono, coeff in self.terms.items()
+            if mono[idx] == power
+        })
 
     def substitute(self, name: str, value) -> "Poly":
         """Replace one symbol by a number or another Poly."""
         idx = _check_symbol(name)
-        repl = value if isinstance(value, Poly) else Poly.const(value)
-        result = Poly()
-        # group by power so repl**k is computed once per power
-        powers: dict[int, Poly] = {}
+        # group by power so repl**k is computed once per power; within one
+        # power the reduced monomials are distinct
+        powers: dict[int, dict[tuple[int, ...], float]] = {}
         for mono, coeff in self.terms.items():
             k = mono[idx]
-            reduced = tuple(0 if i == idx else e for i, e in enumerate(mono))
-            powers.setdefault(k, Poly())
-            powers[k] = powers[k] + Poly({reduced: coeff})
+            group = powers.get(k)
+            if group is None:
+                group = powers[k] = {}
+            group[mono[:idx] + (0,) + mono[idx + 1:]] = coeff
+        if not isinstance(value, Poly):
+            c = float(value)
+            if math.isfinite(c):
+                return Poly._trusted(_substitute_number(powers, c))
+            value = Poly.const(c)
+        result = Poly()
         acc = Poly.const(1.0)
         last = 0
         for k in sorted(powers):
             for _ in range(k - last):
-                acc = acc * repl
+                acc = acc * value
             last = k
-            result = result + powers[k] * acc
+            result = result + Poly._trusted(powers[k]) * acc
         return result
 
     def evaluate(self, values: Mapping[str, float]) -> float:
@@ -215,8 +240,8 @@ class Poly:
         for mono, coeff in self.terms.items():
             if mono[idx] < 1:
                 return None
-            out[tuple(e - 1 if i == idx else e for i, e in enumerate(mono))] = coeff
-        return Poly(out)
+            out[mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:]] = coeff
+        return Poly._trusted(out)
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -246,6 +271,37 @@ class Poly:
                 parts.append(repr(coeff))
         rendered = " + ".join(parts).replace("+ -", "- ")
         return rendered
+
+
+def _substitute_number(
+    powers: dict[int, dict[tuple[int, ...], float]], c: float
+) -> dict[tuple[int, ...], float]:
+    """The terms of sum_k powers[k] * c**k for a finite c, in ascending k.
+
+    The float operations and their order are those of the Poly path with
+    Poly.const(c): c**k as the product a_k = a_{k-1} * c from a_0 = 1.0, a
+    zero term skipped, and exact zeros pruned after each power.  A zero a_k
+    is the empty Poly there, and a finite c keeps it zero, so nothing from
+    that power on is added (an infinite coefficient times zero is not NaN).
+    """
+    out: dict[tuple[int, ...], float] = {}
+    get = out.get
+    a = 1.0
+    last = 0
+    for k in sorted(powers):
+        for _ in range(k - last):
+            a = a * c
+        last = k
+        if a == 0.0:
+            break
+        for mono, coeff in powers[k].items():
+            t = coeff * a
+            if t != 0.0:
+                out[mono] = get(mono, 0.0) + t
+        if 0.0 in out.values():
+            out = {mono: v for mono, v in out.items() if v != 0.0}
+            get = out.get
+    return out
 
 
 def poly_from_symbols() -> tuple[Poly, Poly, Poly, Poly, Poly]:

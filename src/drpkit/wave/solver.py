@@ -283,12 +283,10 @@ class _Solver:
             sub_eqs = [eq.substitute("v", self.A) for eq in eqs]
             branches += self.solve(sub_eqs, sub, constraints, depth + 1)
         reduced = []
-        for eq in eqs:
-            while True:
-                q = eq.divide_linear("v", self.A)
-                if q is None:
-                    break
+        for eq, q in zip(eqs, divisible):
+            while q is not None:
                 eq = q
+                q = eq.divide_linear("v", self.A)
             reduced.append(eq)
         branches += self.solve(
             reduced, assignments, constraints + ((_NE_VALUE, "v", self.A),), depth + 1

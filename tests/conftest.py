@@ -1,10 +1,12 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import drpkit
-from drpkit.modeq import SchemeParams
+from drpkit import wave
+from drpkit.modeq import SchemeParams, nondimensionalize, taylor_expand_scheme
 from drpkit.stencil import optimize_coefficients
 
 
@@ -47,3 +49,33 @@ def child_env():
         return env
 
     return build
+
+
+@pytest.fixture(scope="session")
+def system_draws():
+    """Seeded draws of both coefficient-system encodings, for the solver checks.
+
+    One draw per half-width m = 1..9, with sigma, mu, Re_h, C1 (either
+    sign) and the kink's C drawn at random.  The ``fixed`` pin of the
+    integration constant cycles through none, C = 0 and a drawn C.
+    """
+    rng = np.random.default_rng(20261018)
+    draws = []
+    for m in range(1, 10):
+        params = SchemeParams.from_cfl(
+            sigma=float(rng.uniform(0.1, 2.0)),
+            mu=float(rng.uniform(0.5, 2.0)),
+            re_h=float(rng.uniform(0.5, 4.0)),
+        )
+        coeffs = optimize_coefficients(m)
+        C1 = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.0))
+        C = float(rng.uniform(-2.0, 2.0))
+        fixed = (None, {"C": 0.0}, {"C": float(rng.uniform(-2.0, 2.0))})[m % 3]
+        sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1)
+        table = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+        ode = wave.reduce_to_ode(table, params, v=sol.v, C=C)
+        ansatz = wave.HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=0.0, C1=C1, v=sol.v)
+        derived = wave.collect_system(wave.substitute_ansatz(ode, ansatz))
+        condensed = wave.condensed_coefficient_system(params, coeffs, C1)
+        draws.append({"m": m, "fixed": fixed, "systems": (derived, condensed)})
+    return draws

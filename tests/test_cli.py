@@ -348,6 +348,15 @@ class TestFailureContract:
             (["simulate", "--N", "64", "--sigma", "5", "--steps", "1000",
               "--snap-every", "1"], 3, "by step 8"),
             (["simulate", "--C1", "0.3"], 0, "drpkit: warning: kink width"),
+            (["simulate", "--C", "0", "--N", "64", "--steps", "10"], 2, "kink is constant"),
+            (["simulate", "--sigma", "1e300", "--N", "64", "--steps", "10"], 2,
+             "kink is constant"),
+            (["report", "--m", "3", "--C", "0"], 2, "kink is constant"),
+            (["report", "--snap-every", "0"], 2, "snap_every must be positive"),
+            (["soliton", "--C", "1e300", "--C1", "1e-10", "--verify"], 3, "non-finite"),
+            (["soliton", "--C", "1e308", "--C1", "1e-300"], 3, "non-finite"),
+            (["simulate", "--init", "gaussian", "--oracle", "--N", "64", "--sigma", "5",
+              "--steps", "1000", "--snap-every", "1000"], 3, "by step 8"),
         ],
     )
     def test_exit_code_and_one_line_per_message(self, tmp_path, child_env, command, code, message):
@@ -369,6 +378,31 @@ class TestFailureContract:
             errors = [line for line in lines if not line.startswith("drpkit: warning: ")]
             assert len(errors) == 1 and message in errors[0], lines
             assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--C", "0", "--N", "64", "--steps", "10"],
+            ["simulate", "--sigma", "1e300", "--N", "64", "--steps", "10"],
+            ["report", "--m", "3", "--C", "0"],
+            ["soliton", "--C", "1e300", "--C1", "1e-10", "--verify"],
+            ["soliton", "--C", "1e308", "--C1", "1e-300"],
+            ["soliton", "--C", "1e308", "--C1", "1e-300", "--json", "f.json"],
+        ],
+    )
+    def test_failure_prints_and_writes_nothing(self, tmp_path, child_env, command):
+        # the check comes before the first snapshot file and the first stdout line
+        proc = subprocess.run(
+            [sys.executable, "-m", "drpkit.cli", *command],
+            cwd=tmp_path,
+            env=child_env(DRPKIT_OUTPUT_DIR=None),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode in (2, 3), proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert not list(tmp_path.iterdir())
 
 
 class TestDeterminism:

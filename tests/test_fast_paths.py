@@ -1,20 +1,27 @@
-"""The vectorized hot paths against the plain implementations they replaced.
+"""The fast hot paths against the plain implementations they replaced.
 
 Each reference below is the straightforward version of a hot path: a
-roll-based stepper, the np.mod kink template, the per-node crossing loop
-and the per-row snapshot formatter.  The fast paths keep the same
-floating-point operations in the same order, so they must agree bit for
-bit, signed zeros included.
+roll-based stepper, the np.mod kink template, the per-node crossing loop,
+the per-row snapshot formatter, the Poly arithmetic that built a Poly
+object per term, and the soliton payload that solved each coefficient
+system twice.  The fast paths keep the same floating-point operations in
+the same order, so they must agree bit for bit, signed zeros included.
 """
+
+import json
+import math
+import struct
 
 import numpy as np
 import pytest
 
-from drpkit import cli, sim
+from drpkit import cli, sim, wave
+from drpkit.modeq import SchemeParams, nondimensionalize, taylor_expand_scheme
 from drpkit.sim import _fallback
 from drpkit.sim.measure import _rising_crossings
-from drpkit.stencil import optimize_coefficients
+from drpkit.stencil import dispersion_samples, effective_wavenumber, optimize_coefficients
 from drpkit.wave.ansatz import KinkSolution
+from drpkit.wave.poly import SYMBOLS, Poly
 
 
 def reference_step_many(u, gamma, coef, n_steps):
@@ -162,3 +169,301 @@ class TestSnapshotCsv:
         prefixes = cli._row_prefixes(grid)
         assert cli._snapshot_csv(state, grid, prefixes) == reference_snapshot_csv(state, grid)
 
+
+# -- Poly arithmetic: the per-term implementation, built on the public
+# constructor, which coerces and prunes every result
+
+
+def reference_const(value):
+    return Poly({(0,) * len(SYMBOLS): float(value)})
+
+
+def reference_coerce(other):
+    return other if isinstance(other, Poly) else reference_const(other)
+
+
+def reference_add(p, q):
+    q = reference_coerce(q)
+    out = dict(p.terms)
+    for mono, coeff in q.terms.items():
+        out[mono] = out.get(mono, 0.0) + coeff
+    return Poly(out)
+
+
+def reference_neg(p):
+    return Poly({m: -c for m, c in p.terms.items()})
+
+
+def reference_mul(p, q):
+    q = reference_coerce(q)
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = out.get(mono, 0.0) + c1 * c2
+    return Poly(out)
+
+
+def reference_coefficient_poly(p, name, power):
+    idx = SYMBOLS.index(name)
+    out = {}
+    for mono, coeff in p.terms.items():
+        if mono[idx] == power:
+            reduced = tuple(0 if i == idx else e for i, e in enumerate(mono))
+            out[reduced] = out.get(reduced, 0.0) + coeff
+    return Poly(out)
+
+
+def reference_substitute(p, name, value):
+    idx = SYMBOLS.index(name)
+    repl = value if isinstance(value, Poly) else reference_const(value)
+    result = Poly()
+    powers = {}
+    for mono, coeff in p.terms.items():
+        k = mono[idx]
+        reduced = tuple(0 if i == idx else e for i, e in enumerate(mono))
+        powers.setdefault(k, Poly())
+        powers[k] = reference_add(powers[k], Poly({reduced: coeff}))
+    acc = reference_const(1.0)
+    last = 0
+    for k in sorted(powers):
+        for _ in range(k - last):
+            acc = reference_mul(acc, repl)
+        last = k
+        result = reference_add(result, reference_mul(powers[k], acc))
+    return result
+
+
+def reference_divide_symbol(p, name):
+    idx = SYMBOLS.index(name)
+    if not p.terms:
+        return Poly()
+    out = {}
+    for mono, coeff in p.terms.items():
+        if mono[idx] < 1:
+            return None
+        out[tuple(e - 1 if i == idx else e for i, e in enumerate(mono))] = coeff
+    return Poly(out)
+
+
+def reference_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples):
+    """The soliton payload that solved each coefficient system twice."""
+    sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0).canonical()
+    nondim = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+    ode = wave.reduce_to_ode(nondim, params, v=sol.v, C=C)
+    payload = {
+        "solution": {"v": sol.v, "U1": sol.U1, "V1": 0.0, "V0": sol.V0, "C1": sol.C1, "C": sol.C},
+        "config": {**echo, "m": coeffs.m, "C": C, "C1": C1, "V0": V0},
+    }
+    if verify:
+        report = wave.verify_condensed_system(params, coeffs, C=C, C1=sol.C1, V0=sol.V0)
+        ansatz = wave.HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=sol.V0, C1=sol.C1, v=sol.v)
+        derived = wave.collect_system(wave.substitute_ansatz(ode, ansatz))
+        derived_res = wave.evaluate_system(derived, report.values)
+        xi = np.linspace(-xi_max, xi_max, xi_samples)
+        r = wave.residual(ode, sol, xi)
+        payload["condensed_system"] = {
+            "residuals": list(report.residuals),
+            "max_abs": float(np.max(np.abs(report.residuals))),
+            "ok": report.ok,
+        }
+        payload["derived_system"] = {
+            "residuals": [float(x) for x in derived_res],
+            "max_abs": float(np.max(np.abs(derived_res))),
+        }
+        payload["ode_residual"] = {
+            "xi": [float(x) for x in xi],
+            "r": [float(x) for x in r],
+            "limit": -C,
+        }
+        payload["branches"] = {
+            "derived": [b.to_json() for b in wave.solve_system(derived)],
+            "condensed": [
+                b.to_json()
+                for b in wave.solve_system(
+                    wave.condensed_coefficient_system(params, coeffs, sol.C1)
+                )
+            ],
+            "summary": {
+                "derived": wave.describe_solution_set(wave.solve_system(derived)),
+                "condensed": wave.describe_solution_set(
+                    wave.solve_system(wave.condensed_coefficient_system(params, coeffs, sol.C1))
+                ),
+            },
+        }
+    return payload
+
+
+def use_reference_poly(monkeypatch):
+    """Route every changed Poly operation through its per-term reference."""
+    for attr, fn in (
+        ("__add__", reference_add), ("__radd__", reference_add), ("__neg__", reference_neg),
+        ("__mul__", reference_mul), ("__rmul__", reference_mul),
+        ("coefficient_poly", reference_coefficient_poly), ("substitute", reference_substitute),
+        ("divide_symbol", reference_divide_symbol),
+    ):
+        monkeypatch.setattr(Poly, attr, fn)
+    monkeypatch.setattr(Poly, "const", staticmethod(reference_const))
+
+
+def bits(p):
+    """Monomials and coefficient bit patterns, in dict order."""
+    return [(mono, struct.pack("<d", c)) for mono, c in p.terms.items()]
+
+
+# coefficients: ordinary, exactly cancelling, tiny (products underflow to
+# +-0.0), huge (products overflow) and infinite
+COEFF_POOL = (1.0, -1.0, 0.5, -2.0, 3.0, 0.1, -0.3, 5e-324, -5e-324, 1e-200, -1e-170,
+              1e200, -1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+def random_poly(rng, max_terms=7, max_exp=3, special=0.3):
+    terms = {}
+    for _ in range(int(rng.integers(0, max_terms + 1))):
+        mono = tuple(int(e) for e in rng.integers(0, max_exp + 1, len(SYMBOLS)))
+        if rng.random() < special:
+            coeff = float(rng.choice(COEFF_POOL))
+        else:
+            coeff = float(rng.standard_normal() * 10.0 ** rng.integers(-3, 4))
+        terms[mono] = coeff
+    return Poly(terms)
+
+
+def poly_pairs(seed, count):
+    """Random pairs, a third of them sharing monomials with cancelling coefficients."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        p = random_poly(rng)
+        if i % 3 == 0:
+            q = Poly({m: -c for m, c in p.terms.items()})
+            q = Poly({**q.terms, **random_poly(rng, max_terms=2).terms})
+        else:
+            q = random_poly(rng)
+        yield p, q
+
+
+SUBSTITUTE_VALUES = (0.0, -0.0, 1.0, -1.0, 0.37, -2.5, 1e-200, -1e-170, 5e-324, 1e200,
+                     1.7976931348623157e308, 7, math.inf, -math.inf, math.nan)
+
+
+class TestPolyArithmetic:
+    def test_add_neg_sub_match_reference(self):
+        for p, q in poly_pairs(1, 400):
+            assert bits(p + q) == bits(reference_add(p, q))
+            assert bits(-p) == bits(reference_neg(p))
+            assert bits(p - q) == bits(reference_add(p, reference_neg(q)))
+            assert bits(p + 1.5) == bits(reference_add(p, 1.5))
+
+    def test_mul_matches_reference(self):
+        with np.errstate(all="ignore"):
+            for p, q in poly_pairs(2, 400):
+                assert bits(p * q) == bits(reference_mul(p, q))
+                assert bits(p * -0.75) == bits(reference_mul(p, -0.75))
+                assert bits(2.0 * p) == bits(reference_mul(p, 2.0))
+
+    def test_cancellation_and_negative_zero_are_pruned(self):
+        x, y = Poly.var("U1"), Poly.var("v")
+        # an exact zero sum, and tiny products that round to -0.0 and +0.0
+        for p, q in (
+            (x + 0.1 * y, x - 0.1 * y),
+            (Poly({(1, 0, 0, 0, 0): 5e-324}), Poly({(0, 0, 0, 1, 0): -5e-324})),
+            (Poly({(1, 0, 0, 0, 0): 1e-200, (0, 1, 0, 0, 0): 1.0}),
+             Poly({(0, 0, 0, 0, 0): -1e-200, (0, 0, 1, 0, 0): 2.0})),
+        ):
+            assert bits(p + q) == bits(reference_add(p, q))
+            assert bits(p * q) == bits(reference_mul(p, q))
+            assert all(c != 0.0 for c in (p * q).terms.values())
+        assert (x - x).terms == {}
+
+    def test_coefficient_poly_and_divide_symbol_match_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            p = random_poly(rng)
+            for name in SYMBOLS:
+                for power in range(4):
+                    assert bits(p.coefficient_poly(name, power)) == bits(
+                        reference_coefficient_poly(p, name, power)
+                    )
+                got, want = p.divide_symbol(name), reference_divide_symbol(p, name)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert bits(got) == bits(want)
+
+    def test_substitute_number_matches_reference(self):
+        rng = np.random.default_rng(4)
+        with np.errstate(all="ignore"):
+            for _ in range(300):
+                p = random_poly(rng, max_terms=10, max_exp=4)
+                name = SYMBOLS[int(rng.integers(len(SYMBOLS)))]
+                for value in SUBSTITUTE_VALUES + (float(rng.standard_normal()),):
+                    assert bits(p.substitute(name, value)) == bits(
+                        reference_substitute(p, name, value)
+                    ), (p, name, value)
+
+    def test_substitute_poly_matches_reference(self):
+        for p, q in poly_pairs(5, 200):
+            for name in ("v", "V1", "C"):
+                assert bits(p.substitute(name, q)) == bits(reference_substitute(p, name, q))
+
+    def test_term_pruned_at_one_power_returns_at_the_end(self):
+        # U1 cancels after the v**1 terms and comes back with v**2, so it
+        # moves behind V0 in dict order, as in the reference
+        p = Poly({(1, 0, 0, 0, 0): -2.0, (1, 0, 0, 1, 0): 1.0, (0, 0, 1, 0, 0): 1.0,
+                  (1, 0, 0, 2, 0): 0.25})
+        got = p.substitute("v", 2.0)
+        assert bits(got) == bits(reference_substitute(p, "v", 2.0))
+        assert list(got.terms) == [(0, 0, 1, 0, 0), (1, 0, 0, 0, 0)]
+
+    def test_zero_power_stops_an_infinite_coefficient(self):
+        # v**2 underflows to zero, which the reference multiplies as an empty
+        # Poly: inf * v**2 must drop out, not become NaN
+        p = Poly({(0, 0, 0, 2, 0): math.inf, (1, 0, 0, 0, 0): 2.0})
+        for value in (1e-200, 0.0, -0.0):
+            got = p.substitute("v", value)
+            assert bits(got) == bits(reference_substitute(p, "v", value))
+            assert got.terms == {(1, 0, 0, 0, 0): 2.0}
+
+
+class TestSolverAndPayload:
+    def test_solve_system_matches_reference_arithmetic(self, system_draws, monkeypatch):
+        def solve_all():
+            return [
+                json.dumps([b.to_json() for b in wave.solve_system(system, fixed=draw["fixed"])])
+                for draw in system_draws
+                for system in draw["systems"]
+            ]
+
+        fast = solve_all()
+        use_reference_poly(monkeypatch)
+        assert fast == solve_all()
+
+    @pytest.mark.parametrize(
+        "m, C, C1, V0, sigma",
+        [(7, -2.0, 0.3, 0.4, 1.0), (1, 1.0, 1.0, 0.0, 1.0), (3, 0.0, -0.7, 0.2, 0.5),
+         (5, 1.5, 0.5, -0.3, 0.25), (9, -0.4, 1.0, 0.0, 1.7)],
+    )
+    def test_payload_matches_four_solve_reference(self, monkeypatch, m, C, C1, V0, sigma):
+        params = SchemeParams.from_cfl(sigma=sigma, mu=1.0, re_h=1.0)
+        coeffs = optimize_coefficients(m)
+        args = (params, {"sigma": sigma}, coeffs, C, C1, V0, True, 10.0, 41)
+        fast = json.dumps(cli._soliton_payload(*args), sort_keys=True)
+        use_reference_poly(monkeypatch)
+        assert fast == json.dumps(reference_payload(*args), sort_keys=True)
+
+
+class TestDispersionRows:
+    @pytest.mark.parametrize("m", (1, 2, 5, 9))
+    @pytest.mark.parametrize("n", (2, 3, 100, 101, 1001))
+    def test_rows_match_per_sample_reference(self, m, n):
+        coeffs = optimize_coefficients(m)
+        rows = dispersion_samples(coeffs, n)
+        if n % 2:
+            half = np.linspace(0.0, math.pi / 2.0, (n + 1) // 2)
+            zetas = np.concatenate([-half[:0:-1], half])
+        else:
+            zetas = np.linspace(-math.pi / 2.0, math.pi / 2.0, n)
+        lams = effective_wavenumber(coeffs, zetas)
+        want = [(cli._fmt(z), cli._fmt(l), cli._fmt(z - l)) for z, l in zip(zetas, lams)]
+        got = [(repr(r.zeta), repr(r.lambda_bar_h), repr(r.error)) for r in rows]
+        assert got == want
+        assert all(type(x) is float for r in rows for x in (r.zeta, r.lambda_bar_h, r.error))

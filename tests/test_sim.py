@@ -191,6 +191,52 @@ class TestRun:
         assert info.value.step_count == first == 8
         assert f"by step {first}" in str(info.value)
 
+    @pytest.mark.parametrize("snap_every", [1, 7, GUARD_STRIDE, GUARD_STRIDE + 1, 1000])
+    def test_oracle_norm_guard_names_first_step_whatever_the_stride(self, m1_coeffs, snap_every):
+        params = params_with(5.0)
+        state = sim.inject_gaussian(sim.Grid1D(64, 1.0), 1.0, 64.0 / 12.0, 32.0)
+        limit = sim.NORM_GUARD_FACTOR * state.l2_norm()
+        first = 1
+        while sim.spectral_oracle(state, m1_coeffs, params, first).l2_norm() <= limit:
+            first += 1
+        with pytest.raises(NormGuardError) as info:
+            sim.run(state, m1_coeffs, params, n_steps=1000, snap_every=snap_every, use_oracle=True)
+        assert info.value.step_count == first == 8
+        assert f"by step {first}" in str(info.value)
+
+    def test_oracle_blow_up_names_first_non_finite_step(self, m1_coeffs):
+        # without a norm guard only overflow trips, and the oracle's own
+        # FieldState check names a step the bisection must reach
+        params = params_with(5.0)
+        state = sim.inject_random(sim.Grid1D(64, 1.0), seed=4)
+        first = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                try:
+                    sim.spectral_oracle(state, m1_coeffs, params, first)
+                except BlowUpError:
+                    break
+                first += 1
+        with pytest.raises(BlowUpError) as info:
+            sim.run(state, m1_coeffs, params, n_steps=5000, snap_every=5000,
+                    use_oracle=True, norm_guard=math.inf)
+        assert info.value.step_count == first
+        assert str(info.value) == f"field blew up by step {first}"
+
+    def test_oracle_run_that_never_trips_calls_once_per_snapshot(self, m3_coeffs, monkeypatch):
+        from drpkit.sim import stepper
+
+        calls = []
+        oracle = stepper.spectral_oracle
+        monkeypatch.setattr(
+            stepper, "spectral_oracle", lambda *a, **k: calls.append(a[3]) or oracle(*a, **k)
+        )
+        state = sim.inject_random(sim.Grid1D(128, 1.0), seed=9)
+        history = sim.run(state, m3_coeffs, params_with(0.1), n_steps=60, snap_every=20,
+                          use_oracle=True)
+        assert calls == [20, 40, 60]
+        assert [s.step_count for s in history] == [0, 20, 40, 60]
+
     def test_overflow_inside_a_guard_stride_is_silent(self, m1_coeffs):
         # sigma = 1e100 overflows within three steps, before the stride ends
         params = params_with(1e100)

@@ -1,0 +1,132 @@
+"""The case solver against sympy, an independent oracle for its solution sets.
+
+Both encodings of the coefficient system are rebuilt in sympy with exact
+rational parameters: the derived one by letting sympy expand the
+traveling-wave ODE with the tanh/sech ansatz, the condensed one from its
+definition.
+Over the seeded draws shared with the fast-path tests, every point sampled
+from a drpkit branch must zero the sympy equations, and every solution
+family sympy finds, with its free unknowns drawn at random, must lie in
+some drpkit branch.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+sp = pytest.importorskip("sympy")
+
+from drpkit.wave import solve_system  # noqa: E402
+from drpkit.wave.poly import SYMBOLS  # noqa: E402
+
+UNKNOWNS = sp.symbols(" ".join(SYMBOLS))
+U1, V1, V0, v, C = UNKNOWNS
+_A, _SIGMA, _C1 = sp.symbols("A sigma C1", nonzero=True)
+
+
+def _derived_template():
+    """Coefficients of E^0..E^4 in ((A - v) u - (sigma v^2 / 2) u' - C) (1 + E^2)^2."""
+    xi = sp.Symbol("xi", real=True)
+    E = sp.Symbol("E", positive=True)
+    u = U1 * sp.tanh(_C1 * xi) + V1 * sp.sech(_C1 * xi) + V0
+    ode = (_A - v) * u - _SIGMA * v**2 / 2 * sp.diff(u, xi) - C
+    in_E = ode.rewrite(sp.exp).subs({sp.exp(_C1 * xi): E, sp.exp(-_C1 * xi): 1 / E})
+    assert xi not in in_E.free_symbols
+    cleared = sp.Poly(sp.expand(sp.cancel(in_E * (1 + E**2) ** 2)), E)
+    assert cleared.degree() == 4
+    return [cleared.coeff_monomial(E**k) for k in range(5)]
+
+
+def _condensed_template():
+    gap = _A - v
+    half = -_C1 * _SIGMA * v**2 / 2
+    return [
+        2 * gap * (V0 - U1) + half * (4 * U1 + 2 * V1) - C,
+        2 * gap * V1,
+        2 * gap * V0,
+        2 * gap * V1 + _C1 * _SIGMA * v**2 * V1,
+        gap * (U1 + V0),
+    ]
+
+
+@pytest.fixture(scope="module")
+def templates():
+    return {"derived": _derived_template(), "condensed": _condensed_template()}
+
+
+def sympy_equations(templates, system, fixed):
+    exact = {_A: sp.Rational(system.advection), _SIGMA: sp.Rational(system.sigma),
+             _C1: sp.Rational(system.C1)}
+    for name, value in (fixed or {}).items():
+        exact[UNKNOWNS[SYMBOLS.index(name)]] = sp.Rational(value)
+    return [sp.expand(eq.subs(exact)) for eq in templates[system.encoding]]
+
+
+def contains(branch, point, tol=1e-9):
+    """Whether a numeric point of all five unknowns lies in a drpkit branch."""
+    for kind, name, *rest in branch.constraints:
+        if (point[name] == rest[0]) if rest else (point[name] == 0.0):
+            return False
+    frees = {name: point[name] for name in branch.free}
+    for name, value in branch.assignments.items():
+        expected = value if isinstance(value, float) else value.evaluate(frees)
+        if not math.isclose(expected, point[name], rel_tol=tol, abs_tol=tol):
+            return False
+    return True
+
+
+def family_point(solution, fixed, rng):
+    """A real point of a sympy solution family with its free unknowns drawn, or None."""
+    for _ in range(50):
+        point = {str(x): float(rng.uniform(-2.0, 2.0)) for x in UNKNOWNS if x not in solution}
+        point.update(fixed or {})
+        at = {x: sp.Float(point[str(x)], 30) for x in UNKNOWNS if str(x) in point}
+        try:
+            values = {str(x): complex(expr.evalf(30, subs=at)) for x, expr in solution.items()}
+        except (TypeError, ZeroDivisionError):
+            continue
+        if all(math.isfinite(z.real) and abs(z.imag) <= 1e-12 * max(1.0, abs(z))
+               for z in values.values()):
+            point.update({name: z.real for name, z in values.items()})
+            return point
+    return None
+
+
+@pytest.mark.parametrize("encoding", [0, 1], ids=["derived", "condensed"])
+def test_drpkit_branches_match_sympy_solution_sets(system_draws, templates, encoding):
+    rng = np.random.default_rng(7 + encoding)
+    for draw in system_draws:
+        system, fixed = draw["systems"][encoding], draw["fixed"]
+        label = (draw["m"], system.encoding, fixed)
+        eqs = sympy_equations(templates, system, fixed)
+        # the rebuilt equations are drpkit's, coefficient by coefficient
+        for eq, poly in zip(eqs, system.equations):
+            if fixed:
+                poly = poly.substitute("C", fixed["C"])
+            want = {m: float(c) for m, c in sp.Poly(eq, *UNKNOWNS).as_dict().items()}
+            assert poly.terms.keys() == want.keys(), label
+            for mono, coeff in poly.terms.items():
+                assert math.isclose(coeff, want[mono], rel_tol=1e-12), (label, mono)
+
+        branches = solve_system(system, fixed=fixed)
+        assert branches and not any(b.unresolved for b in branches), label
+        residuals = sp.lambdify(UNKNOWNS, eqs)
+        for branch in branches:
+            for _ in range(10):
+                values = branch.sample(rng)
+                res = residuals(*(values.get(name, 0.0) for name in SYMBOLS))
+                assert max(abs(r) for r in res) <= 1e-9, (label, branch.describe(), values)
+
+        unknowns = [x for x in UNKNOWNS if str(x) not in (fixed or {})]
+        families = sp.solve(eqs, unknowns, dict=True, manual=True)
+        assert families, label
+        checked = 0
+        for solution in families:
+            for _ in range(5):
+                point = family_point(solution, fixed, rng)
+                if point is None:
+                    break
+                checked += 1
+                assert any(contains(b, point) for b in branches), (label, solution, point)
+        assert checked, label
