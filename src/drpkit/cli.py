@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from .errors import (
     LostFrontError,
     NonFiniteResultError,
     NormGuardError,
+    PowerOverflowError,
     SingularSystemError,
 )
 from .modeq import (
@@ -51,6 +53,12 @@ from .stencil import (
 )
 
 _CONFIG_SECTION = "drpkit"
+# the options that set each quantity whose power overflows for some input
+_SET_BY = {
+    "tau": "tau = sigma h / c, set by --sigma or --tau, --h and --c",
+    "h": "set by --h",
+    "v": "v is the kink speed, set by --sigma or --tau, --mu and --re-h",
+}
 _OUTPUT_DIR_ENV = "DRPKIT_OUTPUT_DIR"
 
 
@@ -454,14 +462,49 @@ def _dominant_mode_speed(state, coeffs, params, grid) -> float | None:
 
 
 def _row_prefixes(grid) -> list[str]:
-    """The ``i,x,`` start of every snapshot row; the same for each snapshot of a run."""
-    return [f"{i},{x!r}," for i, x in enumerate(grid.nodes().tolist())]
+    """The ``i,x,`` start of every snapshot row, after the newline that ends the row before.
+
+    The same for each snapshot of a run.
+    """
+    return [f"\n{i},{x!r}," for i, x in enumerate(grid.nodes().tolist())]
 
 
 def _snapshot_csv(state, grid, prefixes: list[str]) -> str:
+    # repr runs once per distinct bit pattern (kink plateaus and the mirrored
+    # front repeat values; the int64 view keeps -0.0 apart from 0.0), and
     # repr of a tolist() float is the string _fmt gives for the same value
-    rows = map(str.__add__, prefixes, map(repr, state.values.tolist()))
-    return f"# t={_fmt(state.t)} N={grid.N} h={_fmt(grid.h)}\n" + "\n".join(rows) + "\n"
+    bits, index = np.unique(state.values.view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    pieces = itertools.chain.from_iterable(zip(prefixes, map(texts.__getitem__, index.tolist())))
+    return f"# t={_fmt(state.t)} N={grid.N} h={_fmt(grid.h)}" + "".join(pieces) + "\n"
+
+
+def _run_measurements(history, grid, predicted, level, sol) -> dict:
+    """The measurement block of a run: speeds, the kink's shape errors and the norms.
+
+    The front is tracked at ``level`` (no measured speed without one, or
+    when the front is lost), and the shape errors are fitted against the
+    kink ``sol`` (none for other initial states).
+    """
+    measured = None
+    if level is not None:
+        try:
+            measured = sim.measure_speed(history, level) * grid.h
+        except (LostFrontError, ValueError):
+            measured = None
+    shape_series = None
+    if sol is not None:
+        persistence = sim.measure_persistence(history, grid, sol)
+        shape_series = [
+            {"t": t, "shift": s, "error": e}
+            for t, s, e in zip(persistence.times, persistence.shifts, persistence.shape_errors)
+        ]
+    return {
+        "predicted_v": predicted,
+        "measured_v": measured,
+        "shape_error_series": shape_series,
+        "norm_series": [{"t": snap.t, "l2": snap.l2_norm()} for snap in history],
+    }
 
 
 def cmd_simulate(args) -> int:
@@ -497,26 +540,8 @@ def cmd_simulate(args) -> int:
             base / f"snapshot_{snap.step_count:06d}.csv", _snapshot_csv(snap, grid, prefixes)
         )
 
-    measured = None
-    if level is not None:
-        try:
-            measured = sim.measure_speed(history, level) * grid.h
-        except (LostFrontError, ValueError):
-            measured = None
-
-    shape_series = None
-    if sol is not None:
-        persistence = sim.measure_persistence(history, grid, sol)
-        shape_series = [
-            {"t": t, "shift": s, "error": e}
-            for t, s, e in zip(persistence.times, persistence.shifts, persistence.shape_errors)
-        ]
-
     payload = {
-        "predicted_v": predicted,
-        "measured_v": measured,
-        "shape_error_series": shape_series,
-        "norm_series": [{"t": snap.t, "l2": snap.l2_norm()} for snap in history],
+        **_run_measurements(history, grid, predicted, level, sol),
         "config": {
             **echo,
             **init_echo,
@@ -532,8 +557,8 @@ def cmd_simulate(args) -> int:
     print(f"wrote {len(history)} snapshots and measurements.json to {base}")
     if predicted is not None:
         print(f"predicted_v = {_fmt(predicted)}")
-    if measured is not None:
-        print(f"measured_v = {_fmt(measured)}")
+    if payload["measured_v"] is not None:
+        print(f"measured_v = {_fmt(payload['measured_v'])}")
     return 0
 
 
@@ -585,21 +610,8 @@ def cmd_report(args) -> int:
             raise ConfigError(str(exc)) from exc
         initial = _inject_kink(grid, kink)
         history = sim.run(initial, coeffs, sim_params, n_steps=steps, snap_every=snap_every)
-        try:
-            measured = sim.measure_speed(history, kink.V0) * grid.h
-        except (LostFrontError, ValueError):
-            measured = None
-        persistence = sim.measure_persistence(history, grid, kink)
         simulation = {
-            "predicted_v": sim_params.U0 * kink.v,
-            "measured_v": measured,
-            "shape_error_series": [
-                {"t": t, "shift": s, "error": e}
-                for t, s, e in zip(
-                    persistence.times, persistence.shifts, persistence.shape_errors
-                )
-            ],
-            "norm_series": [{"t": snap.t, "l2": snap.l2_norm()} for snap in history],
+            **_run_measurements(history, grid, sim_params.U0 * kink.v, kink.V0, kink),
             "config": {"N": N, "steps": steps, "snap_every": snap_every,
                        "sigma": sim_params.sigma, "tau": sim_params.tau},
         }
@@ -725,6 +737,10 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"drpkit: configuration error: {exc}", file=sys.stderr)
             return 2
+        except PowerOverflowError as exc:
+            source = _SET_BY.get(exc.quantity, "set by the options")
+            print(f"drpkit: numerical failure: {exc} ({source})", file=sys.stderr)
+            return 3
         except (BlowUpError, NormGuardError, NonFiniteResultError, OverflowError,
                 SingularSystemError) as exc:
             print(f"drpkit: numerical failure: {exc}", file=sys.stderr)

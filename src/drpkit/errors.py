@@ -49,3 +49,15 @@ class ConfigError(DrpkitError):
 
 class NonFiniteResultError(DrpkitError):
     """A result holds NaN or an infinity, which no artifact may contain."""
+
+
+class PowerOverflowError(DrpkitError, OverflowError):
+    """A power of a named quantity overflows a float.
+
+    Carries the quantity's name, so that a front end can say which of its
+    inputs set the quantity.
+    """
+
+    def __init__(self, quantity: str, value: float, exponent: int):
+        super().__init__(f"{quantity}**{exponent} overflows a float at {quantity} = {value!r}")
+        self.quantity = quantity

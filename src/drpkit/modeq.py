@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationMismatchError
+from .errors import PowerOverflowError, TruncationMismatchError
 from .stencil import StencilCoefficients, effective_wavenumber
 
 _REL_TOL = 1e-14
@@ -118,6 +118,13 @@ class DifferentialApproximation:
         return sorted(self.terms)
 
 
+def _power(name: str, base: float, exponent: int) -> float:
+    try:
+        return base**exponent
+    except OverflowError:
+        raise PowerOverflowError(name, base, exponent) from None
+
+
 def taylor_expand_scheme(
     coeffs: StencilCoefficients, params: SchemeParams, p: int, q: int
 ) -> DifferentialApproximation:
@@ -134,12 +141,13 @@ def taylor_expand_scheme(
         raise ValueError(f"space order q must be in [1, {_MAX_SPACE_ORDER}], got {q!r}")
     terms: dict[tuple[int, int], float] = {}
     for s in range(1, p + 1):
-        terms[(s, 0)] = -(params.tau ** (s - 1)) / math.factorial(s)
+        terms[(s, 0)] = -_power("tau", params.tau, s - 1) / math.factorial(s)
     for r in range(1, q + 1):
         moment = coeffs.index_moment(r)
         if moment == 0.0:
             continue
-        coefficient = (params.tau / params.h) * (params.h**r / math.factorial(r)) * moment
+        power = _power("h", params.h, r)
+        coefficient = (params.tau / params.h) * (power / math.factorial(r)) * moment
         if coefficient != 0.0:
             terms[(0, r)] = coefficient
     return DifferentialApproximation(terms=terms, truncation=(p, q))

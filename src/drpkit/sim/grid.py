@@ -77,21 +77,30 @@ def mirrored_kink_profile(grid: Grid1D, sol: KinkSolution, shift: float = 0.0) -
     at the antipode is an equally resolved mirrored front.  ``shift``
     translates the whole profile by a (possibly fractional) distance.
     """
+    return mirrored_kink_profiles(grid, sol, [shift])[0]
+
+
+def mirrored_kink_profiles(grid: Grid1D, sol: KinkSolution, shifts) -> np.ndarray:
+    """``mirrored_kink_profile`` at each of ``shifts``, one row per shift.
+
+    Every element goes through the same operations whatever the number of
+    rows, so a row equals the one-shift profile bit for bit.
+    """
     L = grid.length
     x_up = (grid.N // 4) * grid.h
     # d = mod(x - shift - x_up + L/2, L) - L/2, computed in place.  The nodes
-    # ascend, so d[0] and d[-1] bound the argument.  On [-L, 2L) one
-    # subtraction or addition of L rounds exactly as np.mod does (fmod is
-    # exact there); the only difference, -0.0 for +0.0, vanishes at - L/2.
-    d = grid.nodes()
-    d -= shift
+    # ascend, so a row's first and last entries bound its argument.  On
+    # [-L, 2L) one subtraction or addition of L rounds exactly as np.mod does
+    # (fmod is exact there); the only difference, -0.0 for +0.0, vanishes at
+    # - L/2, so a block with any row outside that range takes np.mod whole.
+    d = np.subtract(grid.nodes(), np.asarray(shifts, dtype=np.float64).reshape(-1, 1))
     d -= x_up
     d += L / 2.0
-    if -L <= d[0] and d[-1] < 2.0 * L:
+    if np.all(-L <= d[:, 0]) and np.all(d[:, -1] < 2.0 * L):
         np.subtract(d, L, out=d, where=d >= L)
         np.add(d, L, out=d, where=d < 0.0)
     else:
-        d = np.mod(d, L)
+        np.mod(d, L, out=d)
     d -= L / 2.0
     # triangle wave: d itself within L/4 of the up-step, else mirrored
     far = np.abs(d)

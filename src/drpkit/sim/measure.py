@@ -9,9 +9,11 @@ import numpy as np
 
 from ..errors import LostFrontError
 from ..wave.ansatz import KinkSolution
-from .grid import FieldState, Grid1D, mirrored_kink_profile
+from .grid import FieldState, Grid1D, mirrored_kink_profile, mirrored_kink_profiles
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# elements per block of lockstep searches: bounded memory, arrays that stay in cache
+_BLOCK_ELEMENTS = 2**15
 
 
 def _rising_crossings(values: np.ndarray, level: float) -> list[float]:
@@ -70,10 +72,14 @@ class PersistenceReport:
     shape_errors: tuple[float, ...]
 
 
-def _shape_error(values: np.ndarray, grid: Grid1D, sol: KinkSolution, shift: float, ac_norm: float) -> float:
-    residual = mirrored_kink_profile(grid, sol, shift=shift)
-    np.subtract(values, residual, out=residual)
-    return float(np.sqrt(np.sum(np.square(residual, out=residual)))) / ac_norm
+def _shape_errors(
+    block: np.ndarray, grid: Grid1D, sol: KinkSolution, shifts: np.ndarray, ac_norm: float
+) -> np.ndarray:
+    """Shape error of each row of ``block`` against the template at its shift."""
+    residual = mirrored_kink_profiles(grid, sol, shifts)
+    np.subtract(block, residual, out=residual)
+    # a row reduction sums each row pairwise, as np.sum does a 1-D array
+    return np.sqrt(np.add.reduce(np.square(residual, out=residual), axis=1)) / ac_norm
 
 
 def measure_persistence(
@@ -86,39 +92,47 @@ def measure_persistence(
     refinement over one cell each way).  Errors are normalized by the AC
     norm ||kink - V0||_2 of the unshifted template, so adding the same
     constant to the field and to V0 leaves them unchanged.
+
+    The golden-section searches of a block of snapshots run in lockstep,
+    one template row per snapshot and round; every search takes the same
+    48 rounds, and each row's arithmetic is that of a search on its own.
     """
     template = mirrored_kink_profile(grid, sol) - sol.V0
     ac_norm = float(np.sqrt(np.sum(template**2)))
     if ac_norm == 0.0:
         raise ValueError("constant kink template has no shape to match")
     spectrum_t = np.conj(np.fft.fft(template))
-    times = []
-    shifts = []
-    errors = []
+    starts = []
     for snap in history:
         values = np.asarray(snap.values)
         centered = values - np.mean(values)
         corr = np.fft.ifft(np.fft.fft(centered) * spectrum_t).real
-        s0 = int(np.argmax(corr)) * grid.h
-        lo, hi = s0 - grid.h, s0 + grid.h
-        a, b = lo, hi
+        starts.append(int(np.argmax(corr)) * grid.h)
+    rows = max(1, _BLOCK_ELEMENTS // grid.N)
+    shifts = []
+    errors = []
+    for first in range(0, len(history), rows):
+        block = np.array([snap.values for snap in history[first : first + rows]])
+        s0 = np.array(starts[first : first + rows])
+        a, b = s0 - grid.h, s0 + grid.h
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
-        fc = _shape_error(values, grid, sol, c, ac_norm)
-        fd = _shape_error(values, grid, sol, d, ac_norm)
+        fc = _shape_errors(block, grid, sol, c, ac_norm)
+        fd = _shape_errors(block, grid, sol, d, ac_norm)
         for _ in range(48):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = _shape_error(values, grid, sol, c, ac_norm)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = _shape_error(values, grid, sol, d, ac_norm)
-        best_shift = (a + b) / 2.0
-        times.append(float(snap.t))
-        shifts.append(float(best_shift % grid.length))
-        errors.append(_shape_error(values, grid, sol, best_shift, ac_norm))
+            # left: b, d, fd = d, c, fc and a new c; else a, c, fc = c, d, fd and a new d
+            left = fc < fd
+            a, b = np.where(left, a, c), np.where(left, d, b)
+            kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+            new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+            f_new = _shape_errors(block, grid, sol, new, ac_norm)
+            c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
+            d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
+        best = (a + b) / 2.0
+        shifts += [s % grid.length for s in best.tolist()]
+        errors += _shape_errors(block, grid, sol, best, ac_norm).tolist()
     return PersistenceReport(
-        times=tuple(times), shifts=tuple(shifts), shape_errors=tuple(errors)
+        times=tuple(float(snap.t) for snap in history),
+        shifts=tuple(shifts),
+        shape_errors=tuple(errors),
     )

@@ -13,6 +13,8 @@ import math
 import operator
 from collections.abc import Mapping
 
+from ..errors import PowerOverflowError
+
 SYMBOLS = ("U1", "V1", "V0", "v", "C")
 _INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 _ZERO_MONO = (0,) * len(SYMBOLS)
@@ -199,7 +201,11 @@ class Poly:
             term = coeff
             for i, e in enumerate(mono):
                 if e:
-                    term *= values[SYMBOLS[i]] ** e
+                    value = values[SYMBOLS[i]]
+                    try:
+                        term *= value**e
+                    except OverflowError:
+                        raise PowerOverflowError(SYMBOLS[i], value, e) from None
             total += term
         return total
 

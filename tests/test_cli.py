@@ -357,6 +357,11 @@ class TestFailureContract:
             (["soliton", "--C", "1e308", "--C1", "1e-300"], 3, "non-finite"),
             (["simulate", "--init", "gaussian", "--oracle", "--N", "64", "--sigma", "5",
               "--steps", "1000", "--snap-every", "1000"], 3, "by step 8"),
+            (["modified", "--sigma", "1e200", "--p", "6", "--q", "12"], 3,
+             "tau**2 overflows a float at tau = 1e+200 (tau = sigma h / c, set by --sigma"),
+            (["soliton", "--sigma", "1e200", "--verify"], 3,
+             "v**2 overflows a float at v = 1.2732395447351627e+200 (v is the kink speed, "
+             "set by --sigma"),
         ],
     )
     def test_exit_code_and_one_line_per_message(self, tmp_path, child_env, command, code, message):

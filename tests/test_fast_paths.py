@@ -2,10 +2,12 @@
 
 Each reference below is the straightforward version of a hot path: a
 roll-based stepper, the np.mod kink template, the per-node crossing loop,
-the per-row snapshot formatter, the Poly arithmetic that built a Poly
-object per term, and the soliton payload that solved each coefficient
-system twice.  The fast paths keep the same floating-point operations in
-the same order, so they must agree bit for bit, signed zeros included.
+the per-row snapshot formatter, the persistence fit that searched one
+snapshot at a time with one template per evaluation, the Poly arithmetic
+that built a Poly object per term, and the soliton payload that solved
+each coefficient system twice.  The fast paths keep the same
+floating-point operations in the same order, so they must agree bit for
+bit, signed zeros included.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 
 from drpkit import cli, sim, wave
 from drpkit.modeq import SchemeParams, nondimensionalize, taylor_expand_scheme
-from drpkit.sim import _fallback
+from drpkit.sim import _fallback, measure
 from drpkit.sim.measure import _rising_crossings
 from drpkit.stencil import dispersion_samples, effective_wavenumber, optimize_coefficients
 from drpkit.wave.ansatz import KinkSolution
@@ -63,6 +65,43 @@ def reference_snapshot_csv(state, grid):
     for i in range(grid.N):
         lines.append(f"{i},{fmt(x[i])},{fmt(state.values[i])}")
     return "\n".join(lines) + "\n"
+
+
+def reference_measure_persistence(history, grid, sol):
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    template = reference_kink_profile(grid, sol) - sol.V0
+    ac_norm = float(np.sqrt(np.sum(template**2)))
+    spectrum_t = np.conj(np.fft.fft(template))
+
+    def shape_error(values, shift):
+        residual = values - reference_kink_profile(grid, sol, shift=shift)
+        return float(np.sqrt(np.sum(np.square(residual)))) / ac_norm
+
+    times, shifts, errors = [], [], []
+    for snap in history:
+        values = np.asarray(snap.values)
+        centered = values - np.mean(values)
+        corr = np.fft.ifft(np.fft.fft(centered) * spectrum_t).real
+        s0 = int(np.argmax(corr)) * grid.h
+        a, b = s0 - grid.h, s0 + grid.h
+        c = b - golden * (b - a)
+        d = a + golden * (b - a)
+        fc = shape_error(values, c)
+        fd = shape_error(values, d)
+        for _ in range(48):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - golden * (b - a)
+                fc = shape_error(values, c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + golden * (b - a)
+                fd = shape_error(values, d)
+        best_shift = (a + b) / 2.0
+        times.append(float(snap.t))
+        shifts.append(float(best_shift % grid.length))
+        errors.append(shape_error(values, best_shift))
+    return tuple(times), tuple(shifts), tuple(errors)
 
 
 def assert_bit_identical(a, b):
@@ -122,6 +161,20 @@ class TestKinkTemplate:
                     reference_kink_profile(grid, sol, shift=shift),
                 )
 
+    @pytest.mark.parametrize("N, h", [(5, 1.0), (301, 0.37), (1024, 2.5)])
+    def test_block_rows_match_one_row_reference(self, N, h):
+        # a block with one row outside [-L, 2L) takes np.mod whole; the rows
+        # inside that range must come out as the in-place wrap gives them
+        grid = sim.Grid1D(N, h)
+        L = grid.length
+        sol = KinkSolution(U1=-0.77, V0=-0.0, C1=0.05, v=1.27, C=1.0)
+        inside = [-h, -0.0, 0.0, h / 3.0, L / 2.0, L - h, L]
+        for shifts in (inside, inside + [-3.0 * L], [5.5 * L] + inside, [L]):
+            block = sim.grid.mirrored_kink_profiles(grid, sol, shifts)
+            assert block.shape == (len(shifts), N)
+            for row, shift in zip(block, shifts):
+                assert_bit_identical(row, reference_kink_profile(grid, sol, shift=shift))
+
 
 class TestRisingCrossings:
     @pytest.mark.parametrize(
@@ -168,6 +221,90 @@ class TestSnapshotCsv:
         state = sim.FieldState(values=values, t=0.1 * 7, step_count=7)
         prefixes = cli._row_prefixes(grid)
         assert cli._snapshot_csv(state, grid, prefixes) == reference_snapshot_csv(state, grid)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, -0.0, 0.0, 1.0, -0.0, -0.0, 0.0, 1.0],
+            [5e-324, -5e-324, 2.2250738585072e-308, 5e-324, -0.0, 0.0, 5e-324, 1e-310],
+            [0.25] * 9,
+            [-0.0] * 6,
+            list(np.arange(37) * 0.1 - 1.7),
+        ],
+        ids=["signed-zeros", "subnormals", "all-equal", "all-negative-zero", "all-distinct"],
+    )
+    def test_repeated_values_match_per_row_reference(self, values):
+        grid = sim.Grid1D(len(values), 0.5)
+        state = sim.FieldState(values=values, t=2.5, step_count=3)
+        prefixes = cli._row_prefixes(grid)
+        assert cli._snapshot_csv(state, grid, prefixes) == reference_snapshot_csv(state, grid)
+
+    def test_kink_snapshots_match_per_row_reference(self):
+        params = SchemeParams.from_cfl(sigma=0.1, mu=1.0, re_h=1.0)
+        coeffs = optimize_coefficients(3)
+        sol = wave.closed_form_kink(params, coeffs, C=1.0, C1=0.05, V0=0.0)
+        grid = sim.Grid1D(2048, 1.0)
+        history = sim.run(sim.inject_kink(grid, sol), coeffs, params, n_steps=60, snap_every=20)
+        prefixes = cli._row_prefixes(grid)
+        for snap in history:
+            # plateaus and the mirrored front repeat most values
+            assert len(np.unique(snap.values)) < grid.N
+            assert cli._snapshot_csv(snap, grid, prefixes) == reference_snapshot_csv(snap, grid)
+
+
+class TestPersistence:
+    @staticmethod
+    def assert_matches_reference(history, grid, sol):
+        got = sim.measure_persistence(history, grid, sol)
+        want = reference_measure_persistence(history, grid, sol)
+        for field, expected in zip((got.times, got.shifts, got.shape_errors), want):
+            assert_bit_identical(np.array(field, dtype=float), np.array(expected, dtype=float))
+
+    @pytest.mark.parametrize(
+        "N, h, m, C1, V0",
+        [
+            (1024, 1.0, 1, 0.05, 0.0),
+            (301, 0.37, 2, 0.3, 0.4),
+            (300, 2.5, 3, -0.08, -0.0),
+            (64, 1.0, 1, -0.25, -0.0),
+        ],
+    )
+    def test_runs_longer_than_one_block_match_reference(self, N, h, m, C1, V0):
+        params = SchemeParams.from_cfl(sigma=0.1, mu=1.0, re_h=1.0, h=h)
+        coeffs = optimize_coefficients(m)
+        sol = wave.closed_form_kink(params, coeffs, C=1.0, C1=C1, V0=V0)
+        grid = sim.Grid1D(N, h)
+        rows = measure._BLOCK_ELEMENTS // N
+        history = sim.run(
+            sim.inject_kink(grid, sol), coeffs, params, n_steps=rows + 3, snap_every=1
+        )
+        assert len(history) > rows
+        self.assert_matches_reference(history, grid, sol)
+        self.assert_matches_reference(history[:1], grid, sol)
+
+    @pytest.mark.parametrize("h", (1.0, 0.37, 2.5))
+    def test_shifts_near_the_period_edges_match_reference(self, h):
+        # searches that start at the first or last node reach shifts in
+        # [-h, 0) and up to L, which the fit wraps into [0, L)
+        grid = sim.Grid1D(257, h)
+        L = grid.length
+        sol = KinkSolution(U1=0.9, V0=-0.0, C1=-0.2 / h, v=1.0, C=1.0)
+        rng = np.random.default_rng(7)
+        history = [
+            sim.FieldState(
+                values=sim.mirrored_kink_profile(grid, sol, shift=shift)
+                + 1e-3 * rng.standard_normal(grid.N),
+                t=0.5 * k,
+                step_count=k,
+            )
+            for k, shift in enumerate(
+                [0.0, 0.1 * h, -0.3 * h, 0.5 * h, L - 0.2 * h, L - 0.5 * h, L - 0.6 * h,
+                 L - h, L / 2.0 + 0.25 * h]
+            )
+        ]
+        report = sim.measure_persistence(history, grid, sol)
+        assert max(report.shifts) > L - h and min(report.shifts) < h
+        self.assert_matches_reference(history, grid, sol)
 
 
 # -- Poly arithmetic: the per-term implementation, built on the public
