@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled stepping kernel against the NumPy fallback.
+"""Time the stepping kernel in ns per node-step.
 
-Times ``step_many`` over a grid of (N, m) cases and reports ns per
-node-step plus the speedup, after asserting that the two backends agree
-bit for bit on the benchmark data.
+Times ``drpkit.sim.step_many`` over a grid of (N, m) cases and reports the
+best of ``--repeat`` runs of ``--steps`` steps, divided by N * steps.
 
 Usage: python benchmarks/bench_step.py [--steps 400] [--repeat 5]
 """
@@ -13,20 +12,15 @@ import time
 
 import numpy as np
 
-from drpkit.sim import _fallback
+from drpkit.sim import step_many
 from drpkit.stencil import optimize_coefficients
 
-try:
-    from drpkit.sim import _kernels
-except ImportError:
-    _kernels = None
 
-
-def time_kernel(fn, u, gamma, coef, steps, repeat):
+def time_kernel(u, gamma, coef, steps, repeat):
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        fn(u, gamma, coef, steps)
+        step_many(u, gamma, coef, steps)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -39,24 +33,13 @@ def main():
 
     rng = np.random.default_rng(0)
     coef = 0.1
-    print(f"{'N':>6} {'m':>3} {'numpy ns/node-step':>20} {'compiled ns/node-step':>22} {'speedup':>8}")
+    print(f"{'N':>6} {'m':>3} {'ns/node-step':>13}")
     for n in (256, 1024, 4096):
         for m in (1, 3, 7):
             gamma = optimize_coefficients(m).gamma_array
             u = rng.standard_normal(n)
-            t_np = time_kernel(_fallback.step_many, u, gamma, coef, args.steps, args.repeat)
-            per_np = 1e9 * t_np / (n * args.steps)
-            if _kernels is None:
-                print(f"{n:>6} {m:>3} {per_np:>20.2f} {'(not built)':>22} {'-':>8}")
-                continue
-            a = _fallback.step_many(u, gamma, coef, 10)
-            b = _kernels.step_many(u, gamma, coef, 10)
-            assert np.array_equal(a, b), "backends disagree"
-            t_cy = time_kernel(_kernels.step_many, u, gamma, coef, args.steps, args.repeat)
-            per_cy = 1e9 * t_cy / (n * args.steps)
-            print(f"{n:>6} {m:>3} {per_np:>20.2f} {per_cy:>22.2f} {t_np / t_cy:>7.1f}x")
-    if _kernels is None:
-        print("\ncompiled kernels are not available; reinstall with a working C compiler")
+            best = time_kernel(u, gamma, coef, args.steps, args.repeat)
+            print(f"{n:>6} {m:>3} {1e9 * best / (n * args.steps):>13.2f}")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -60,6 +61,10 @@ _SET_BY = {
     "v": "v is the kink speed, set by --sigma or --tau, --mu and --re-h",
 }
 _OUTPUT_DIR_ENV = "DRPKIT_OUTPUT_DIR"
+# a negative float literal, which argparse must read as a value
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
 
 
 def _fmt(value: float) -> str:
@@ -246,11 +251,22 @@ def _table_json(da: DifferentialApproximation) -> dict:
     }
 
 
+def _term_name(s: int, r: int) -> str:
+    return "u" + "_t" * s + "_x" * r
+
+
+def _require_finite_table(label: str, da: DifferentialApproximation):
+    for (s, r), value in sorted(da.terms.items()):
+        if not math.isfinite(value):
+            raise NonFiniteResultError(
+                f"{label} {_term_name(s, r)} coefficient is {value!r}; nothing printed"
+            )
+
+
 def _print_table(label: str, da: DifferentialApproximation):
     print(f"{label} (p={da.truncation[0]}, q={da.truncation[1]}):")
     for (s, r) in sorted(da.terms):
-        name = "u" + "_t" * s + "_x" * r
-        print(f"  {name:<10s} {_fmt(da.terms[(s, r)])}")
+        print(f"  {_term_name(s, r):<10s} {_fmt(da.terms[(s, r)])}")
 
 
 # ----------------------------------------------------------------- coeffs
@@ -315,6 +331,8 @@ def cmd_modified(args) -> int:
     # the nondimensional form is defined for the reference truncation only
     reference = dimensional if (p, q) == (2, 1) else taylor_expand_scheme(coeffs, params, 2, 1)
     nondim = nondimensionalize(reference, params)
+    _require_finite_table("dimensional", dimensional)
+    _require_finite_table("nondimensional", nondim)
     _print_table("dimensional", dimensional)
     _print_table("nondimensional", nondim)
     if args.json:
@@ -331,50 +349,56 @@ def cmd_modified(args) -> int:
 
 
 def _soliton_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples) -> dict:
-    sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0).canonical()
-    nondim = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
-    ode = wave.reduce_to_ode(nondim, params, v=sol.v, C=C)
-    payload: dict = {
-        "solution": {"v": sol.v, "U1": sol.U1, "V1": 0.0, "V0": sol.V0, "C1": sol.C1, "C": sol.C},
-        "config": {**echo, "m": coeffs.m, "C": C, "C1": C1, "V0": V0},
-    }
-    if verify:
-        report = wave.verify_condensed_system(params, coeffs, C=C, C1=sol.C1, V0=sol.V0)
-        ansatz = wave.HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=sol.V0, C1=sol.C1, v=sol.v)
-        derived = wave.collect_system(wave.substitute_ansatz(ode, ansatz))
-        derived_res = wave.evaluate_system(derived, report.values)
-        xi = np.linspace(-xi_max, xi_max, xi_samples)
-        # an overflowed kink gives a non-finite residual, which the strict
-        # serialization reports as one error; NumPy need not warn about it too
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = wave.residual(ode, sol, xi)
-        payload["condensed_system"] = {
-            "residuals": list(report.residuals),
-            "max_abs": float(np.max(np.abs(report.residuals))),
-            "ok": report.ok,
-        }
-        payload["derived_system"] = {
-            "residuals": [float(x) for x in derived_res],
-            "max_abs": float(np.max(np.abs(derived_res))),
-        }
-        payload["ode_residual"] = {
-            "xi": [float(x) for x in xi],
-            "r": [float(x) for x in r],
-            "limit": -C,
-        }
-        derived_branches = wave.solve_system(derived)
-        condensed_branches = wave.solve_system(
-            wave.condensed_coefficient_system(params, coeffs, sol.C1)
-        )
-        payload["branches"] = {
-            "derived": [b.to_json() for b in derived_branches],
-            "condensed": [b.to_json() for b in condensed_branches],
-            "summary": {
-                "derived": wave.describe_solution_set(derived_branches),
-                "condensed": wave.describe_solution_set(condensed_branches),
+    """The record ``soliton`` prints and ``report`` embeds; a ZeroDivisionError is a ConfigError."""
+    try:
+        sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0).canonical()
+        nondim = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+        ode = wave.reduce_to_ode(nondim, params, v=sol.v, C=C)
+        payload: dict = {
+            "solution": {
+                "v": sol.v, "U1": sol.U1, "V1": 0.0, "V0": sol.V0, "C1": sol.C1, "C": sol.C,
             },
+            "config": {**echo, "m": coeffs.m, "C": C, "C1": C1, "V0": V0},
         }
-    return payload
+        if verify:
+            report = wave.verify_condensed_system(params, coeffs, C=C, C1=sol.C1, V0=sol.V0)
+            ansatz = wave.HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=sol.V0, C1=sol.C1, v=sol.v)
+            derived = wave.collect_system(wave.substitute_ansatz(ode, ansatz))
+            derived_res = wave.evaluate_system(derived, report.values)
+            xi = np.linspace(-xi_max, xi_max, xi_samples)
+            # an overflowed kink gives a non-finite residual, which the strict
+            # serialization reports as one error; NumPy need not warn about it too
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = wave.residual(ode, sol, xi)
+            payload["condensed_system"] = {
+                "residuals": list(report.residuals),
+                "max_abs": float(np.max(np.abs(report.residuals))),
+                "ok": report.ok,
+            }
+            payload["derived_system"] = {
+                "residuals": [float(x) for x in derived_res],
+                "max_abs": float(np.max(np.abs(derived_res))),
+            }
+            payload["ode_residual"] = {
+                "xi": [float(x) for x in xi],
+                "r": [float(x) for x in r],
+                "limit": -C,
+            }
+            derived_branches = wave.solve_system(derived)
+            condensed_branches = wave.solve_system(
+                wave.condensed_coefficient_system(params, coeffs, sol.C1)
+            )
+            payload["branches"] = {
+                "derived": [b.to_json() for b in derived_branches],
+                "condensed": [b.to_json() for b in condensed_branches],
+                "summary": {
+                    "derived": wave.describe_solution_set(derived_branches),
+                    "condensed": wave.describe_solution_set(condensed_branches),
+                },
+            }
+        return payload
+    except ZeroDivisionError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_soliton(args) -> int:
@@ -386,12 +410,9 @@ def cmd_soliton(args) -> int:
     V0 = opts.get("V0", float, 0.0)
     _require_inverse_width(C1)
     coeffs = optimize_coefficients(m)
-    try:
-        payload = _soliton_payload(
-            params, echo, coeffs, C, C1, V0, args.verify, args.xi_max, args.xi_samples
-        )
-    except ZeroDivisionError as exc:
-        raise ConfigError(str(exc)) from exc
+    payload = _soliton_payload(
+        params, echo, coeffs, C, C1, V0, args.verify, args.xi_max, args.xi_samples
+    )
     # serialized first, so a non-finite result is neither printed nor written
     text = _json_text(payload)
     sol = payload["solution"]
@@ -662,8 +683,23 @@ def _add_common(sub, *names):
         sub.add_argument("--V0", type=float, help="kink offset (default 0)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors are one ``drpkit:`` line with exit code 2.
+
+    Negative decimal numbers, with or without an exponent, and -inf and -nan
+    are option values, not option names.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
+        self.exit(2, f"drpkit: configuration error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drpkit",
         description="Band-optimized stencils, modified equations, spurious-wave diagnostics",
     )

@@ -13,7 +13,6 @@ from .grid import (
 )
 from .measure import PersistenceReport, measure_persistence, measure_speed
 from .stepper import (
-    COMPILED_AVAILABLE,
     KERNEL_BACKEND,
     NORM_GUARD_FACTOR,
     horizon_steps,
@@ -36,7 +35,6 @@ __all__ = [
     "PersistenceReport",
     "measure_persistence",
     "measure_speed",
-    "COMPILED_AVAILABLE",
     "KERNEL_BACKEND",
     "NORM_GUARD_FACTOR",
     "horizon_steps",

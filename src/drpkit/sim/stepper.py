@@ -1,36 +1,23 @@
 """Time stepping for the explicit stencil scheme, with a spectral oracle.
 
 The scheme is weakly unstable (|g| >= 1 for every mode), so long runs are
-bounded by a norm-growth guard instead of pretending stability.  The hot
-kernel is compiled when the extension built; a NumPy fallback with the
-same floating-point operation order is selected at import otherwise, so
-results are identical either way.
+bounded by a norm-growth guard instead of pretending stability.  One NumPy
+kernel does the stepping; the spectral oracle checks it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from ..errors import BlowUpError, NormGuardError
 from ..modeq import SchemeParams, discrete_symbol
 from ..stencil import StencilCoefficients
-from . import _fallback
 from .grid import FieldState, Grid1D, l2_norm
 
-if os.environ.get("DRPKIT_FORCE_FALLBACK"):
-    _kernel_step_many = None
-else:
-    try:
-        from ._kernels import step_many as _kernel_step_many
-    except ImportError:
-        _kernel_step_many = None
-
-COMPILED_AVAILABLE = _kernel_step_many is not None
-KERNEL_BACKEND = "compiled" if COMPILED_AVAILABLE else "numpy"
-step_many = _kernel_step_many if COMPILED_AVAILABLE else _fallback.step_many
+#: The stepping backend, reported in run configs; NumPy is the only one.
+KERNEL_BACKEND = "numpy"
 
 #: Abort threshold for the L2 growth guard.
 NORM_GUARD_FACTOR = 1e3
@@ -39,6 +26,47 @@ NORM_GUARD_FACTOR = 1e3
 #: step a run aborts at does not depend on the snapshot stride; small, so
 #: few steps are redone when a tripped check is replayed step by step.
 GUARD_STRIDE = 16
+
+
+def step_many(u: np.ndarray, gamma: np.ndarray, coef: float, n_steps: int) -> np.ndarray:
+    """Advance the periodic field n_steps times; returns a new array.
+
+    u_new[i] = u[i] + coef * sum_k gamma[k-1] * (u[i+k] - u[i-k]) with
+    periodic indexing; coef is tau/h.  The sum starts from +0.0 and runs
+    over ascending k; that order fixes every bit of the result.
+
+    The field lives in the middle of one buffer padded by m periodic images
+    on each side, so every shifted operand is a view and each step
+    allocates nothing.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    n, m = u.shape[0], gamma.shape[0]
+    if n <= 2 * m:
+        raise ValueError("grid too small for the stencil half-width")
+    padded = np.empty(n + 2 * m)
+    field = padded[m : m + n]
+    field[...] = u
+    halos = ((padded[:m], padded[n : n + m]), (padded[m + n :], padded[m : 2 * m]))
+    shifted = [(padded[m + k : m + k + n], padded[m - k : m - k + n], gamma[k - 1])
+               for k in range(1, m + 1)]
+    (ahead, behind, g), higher = shifted[0], shifted[1:]
+    acc = np.empty(n)
+    term = np.empty(n)
+    for _ in range(n_steps):
+        for halo, source in halos:
+            np.copyto(halo, source)
+        np.subtract(ahead, behind, out=acc)
+        np.multiply(acc, g, out=acc)
+        # 0.0 + x: turns -0.0 into +0.0 exactly as the +0.0 start of the sum
+        np.add(acc, 0.0, out=acc)
+        for ahead_k, behind_k, g_k in higher:
+            np.subtract(ahead_k, behind_k, out=term)
+            np.multiply(term, g_k, out=term)
+            np.add(acc, term, out=acc)
+        np.multiply(acc, coef, out=acc)
+        np.add(field, acc, out=field)
+    return field
 
 
 def _check_compatible(n_nodes: int, coeffs: StencilCoefficients):
@@ -73,7 +101,7 @@ def spectral_oracle(
     """Exact evolution: per-mode multiplication by g(zeta_p)^n_steps.
 
     Algebraically identical to n_steps applications of ``step``; serves as
-    the independent correctness oracle for the stepping kernels.
+    the independent correctness oracle for the stepping kernel.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")

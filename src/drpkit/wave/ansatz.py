@@ -87,7 +87,7 @@ def closed_form_kink(
     v equals the advection coefficient of the nondimensional table and
     U1 = -C / (2 C1 v^2 sigma).  C = 0 degenerates to the constant V0.
     Raises ZeroDivisionError with a diagnostic when the stencil moment makes
-    v vanish.
+    v vanish or the amplitude's denominator underflows.
     """
     if C1 == 0.0:
         raise ValueError("inverse width C1 must be nonzero")
@@ -97,5 +97,11 @@ def closed_form_kink(
             "kink speed is zero because sum_k k gamma_k = 0 for this stencil; "
             "the closed-form amplitude is undefined"
         )
-    U1 = -C / (2.0 * C1 * v * v * params.sigma)
+    denominator = 2.0 * C1 * v * v * params.sigma
+    if denominator == 0.0:
+        raise ZeroDivisionError(
+            f"the amplitude denominator 2 C1 v^2 sigma underflows to zero at C1 = {C1!r}, "
+            f"v = {v!r}, sigma = {params.sigma!r}"
+        )
+    U1 = -C / denominator
     return KinkSolution(U1=U1, V0=V0, C1=C1, v=v, C=C)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TruncationMismatchError
+from ..errors import NonFiniteResultError, TruncationMismatchError
 from ..modeq import REFERENCE_TRUNCATION_SIGNATURES, DifferentialApproximation, SchemeParams
 from .ansatz import KinkSolution
 
@@ -45,7 +45,8 @@ def reduce_to_ode(
     """Substitute u(xi), xi = x - v t, into the nondimensional table and integrate once.
 
     Requires the reference truncation {(1,0), (2,0), (0,1)}; the integration
-    constant C becomes the right-hand side.
+    constant C becomes the right-hand side.  Raises NonFiniteResultError when
+    a0 = A - v is NaN.
     """
     extra = set(modified.terms) - REFERENCE_TRUNCATION_SIGNATURES
     if extra:
@@ -54,6 +55,9 @@ def reduce_to_ode(
         )
     A = modified.coefficient(0, 1)
     a0 = A - v
+    if math.isnan(a0):
+        # A and v overflowed to the same infinity
+        raise NonFiniteResultError(f"a0 = A - v is NaN at A = {A!r}, v = {v!r}")
     a1 = -v * v * params.sigma / 2.0
     return TravelingWaveODE(a0=a0, a1=a1, rhs=C, v=v, A=A, sigma=params.sigma)
 

@@ -362,6 +362,16 @@ class TestFailureContract:
             (["soliton", "--sigma", "1e200", "--verify"], 3,
              "v**2 overflows a float at v = 1.2732395447351627e+200 (v is the kink speed, "
              "set by --sigma"),
+            (["report", "--tau", "1e-320", "--C1", "1e300", "--steps", "10", "--N", "64"], 2,
+             "denominator 2 C1 v^2 sigma underflows to zero"),
+            (["soliton", "--sigma", "1.7976931348623157e308", "--C1", "1e8"], 3,
+             "a0 = A - v is NaN at A = inf, v = inf"),
+            (["report", "--sigma", "1.7976931348623157e308", "--C1", "1e8", "--N", "64"], 3,
+             "a0 = A - v is NaN at A = inf, v = inf"),
+            (["modified", "--sigma", "1.7976931348623157e308", "--m", "3"], 3,
+             "u_x coefficient is inf"),
+            (["soliton", "--C", "-1e-3"], 0, None),
+            (["coeffs", "--m", "x"], 2, "configuration error: argument --m: invalid int value"),
         ],
     )
     def test_exit_code_and_one_line_per_message(self, tmp_path, child_env, command, code, message):
@@ -377,7 +387,9 @@ class TestFailureContract:
         assert "RuntimeWarning" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert all(line.startswith("drpkit: ") for line in lines), lines
-        if code == 0:
+        if message is None:
+            assert not lines
+        elif code == 0:
             assert len(lines) == 1 and message in lines[0]
         else:
             errors = [line for line in lines if not line.startswith("drpkit: warning: ")]
@@ -393,6 +405,8 @@ class TestFailureContract:
             ["soliton", "--C", "1e300", "--C1", "1e-10", "--verify"],
             ["soliton", "--C", "1e308", "--C1", "1e-300"],
             ["soliton", "--C", "1e308", "--C1", "1e-300", "--json", "f.json"],
+            ["modified", "--sigma", "1.7976931348623157e308", "--m", "3"],
+            ["coeffs", "--m", "x"],
         ],
     )
     def test_failure_prints_and_writes_nothing(self, tmp_path, child_env, command):

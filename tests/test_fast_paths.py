@@ -19,7 +19,7 @@ import pytest
 
 from drpkit import cli, sim, wave
 from drpkit.modeq import SchemeParams, nondimensionalize, taylor_expand_scheme
-from drpkit.sim import _fallback, measure
+from drpkit.sim import measure
 from drpkit.sim.measure import _rising_crossings
 from drpkit.stencil import dispersion_samples, effective_wavenumber, optimize_coefficients
 from drpkit.wave.ansatz import KinkSolution
@@ -118,10 +118,10 @@ class TestStepMany:
         for n in (2 * m + 1, 2 * m + 2, 2 * m + 5, 64, 257):
             u = rng.standard_normal(n)
             for n_steps in (0, 1, 5, 17):
-                for fn in (_fallback.step_many, sim.step_many):
-                    assert_bit_identical(
-                        fn(u, gamma, 0.3, n_steps), reference_step_many(u, gamma, 0.3, n_steps)
-                    )
+                assert_bit_identical(
+                    sim.step_many(u, gamma, 0.3, n_steps),
+                    reference_step_many(u, gamma, 0.3, n_steps),
+                )
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_signed_zeros_match(self, m):
@@ -134,7 +134,7 @@ class TestStepMany:
         for field in (u, mixed, -u):
             for n_steps in (1, 2, 3):
                 assert_bit_identical(
-                    _fallback.step_many(field, gamma, 0.1, n_steps),
+                    sim.step_many(field, gamma, 0.1, n_steps),
                     reference_step_many(field, gamma, 0.1, n_steps),
                 )
 

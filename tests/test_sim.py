@@ -1,4 +1,4 @@
-"""Stepping kernels against the spectral oracle and analytic mode behavior."""
+"""The stepping kernel against the spectral oracle and analytic mode behavior."""
 
 import math
 import warnings
@@ -9,7 +9,6 @@ import pytest
 from drpkit import sim
 from drpkit.errors import BlowUpError, NormGuardError
 from drpkit.modeq import SchemeParams, discrete_symbol
-from drpkit.sim import _fallback
 from drpkit.sim.stepper import GUARD_STRIDE
 from drpkit.stencil import optimize_coefficients
 from drpkit.wave import closed_form_kink
@@ -82,25 +81,6 @@ class TestStep:
 
 
 class TestBackends:
-    def test_fallback_matches_selected_backend(self, m3_coeffs):
-        rng = np.random.default_rng(2)
-        u = rng.standard_normal(128)
-        a = sim.step_many(u, m3_coeffs.gamma_array, 0.23, 57)
-        b = _fallback.step_many(u, m3_coeffs.gamma_array, 0.23, 57)
-        assert np.array_equal(a, b)
-
-    @pytest.mark.skipif(not sim.COMPILED_AVAILABLE, reason="compiled kernels not built")
-    def test_compiled_bit_identical_to_fallback(self):
-        from drpkit.sim import _kernels
-
-        rng = np.random.default_rng(3)
-        for m in (1, 2, 5):
-            coeffs = optimize_coefficients(m)
-            u = rng.standard_normal(256)
-            a = _kernels.step_many(u, coeffs.gamma_array, 0.17, 100)
-            b = _fallback.step_many(u, coeffs.gamma_array, 0.17, 100)
-            assert np.array_equal(a, b)
-
     def test_deterministic_reruns(self, m3_coeffs):
         rng = np.random.default_rng(4)
         u = rng.standard_normal(128)
