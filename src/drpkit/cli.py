@@ -156,6 +156,12 @@ def _require_positive(name: str, value: float) -> float:
     return float(value)
 
 
+def _require_finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _require_inverse_width(C1: float) -> float:
     """C1 must be finite and a normal float; a subnormal C1 overflows the kink algebra."""
     if not math.isfinite(C1) or abs(C1) < sys.float_info.min:
@@ -229,6 +235,10 @@ def _resolve_params(opts: _Options, default_sigma: float) -> tuple[SchemeParams,
                 f"inconsistent dynamics: sigma={sigma!r} but c*tau/h={c * tau / h!r}"
             )
     U0 = re_h * mu / h
+    if U0 == 0.0:
+        raise ConfigError(
+            f"U0 = re_h mu / h underflows to zero at re_h = {re_h!r}, mu = {mu!r}, h = {h!r}"
+        )
     try:
         params = SchemeParams(
             c=c, mu=mu, tau=tau, h=h, sigma=sigma, U0=U0, tau0=h / U0, h0=h, re_h=re_h
@@ -349,66 +359,66 @@ def cmd_modified(args) -> int:
 
 
 def _soliton_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples) -> dict:
-    """The record ``soliton`` prints and ``report`` embeds; a ZeroDivisionError is a ConfigError."""
-    try:
-        sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0).canonical()
-        nondim = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
-        ode = wave.reduce_to_ode(nondim, params, v=sol.v, C=C)
-        payload: dict = {
-            "solution": {
-                "v": sol.v, "U1": sol.U1, "V1": 0.0, "V0": sol.V0, "C1": sol.C1, "C": sol.C,
-            },
-            "config": {**echo, "m": coeffs.m, "C": C, "C1": C1, "V0": V0},
+    """The record ``soliton`` prints and ``report`` embeds."""
+    sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0).canonical()
+    nondim = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+    ode = wave.reduce_to_ode(nondim, params, v=sol.v, C=C)
+    payload: dict = {
+        "solution": {
+            "v": sol.v, "U1": sol.U1, "V1": 0.0, "V0": sol.V0, "C1": sol.C1, "C": sol.C,
+        },
+        "config": {**echo, "m": coeffs.m, "C": C, "C1": C1, "V0": V0},
+    }
+    if verify:
+        report = wave.verify_condensed_system(params, coeffs, C=C, C1=sol.C1, V0=sol.V0)
+        ansatz = wave.HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=sol.V0, C1=sol.C1, v=sol.v)
+        derived = wave.collect_system(wave.substitute_ansatz(ode, ansatz))
+        derived_res = wave.evaluate_system(derived, report.values)
+        xi = np.linspace(-xi_max, xi_max, xi_samples)
+        # an overflowed kink gives a non-finite residual, which the strict
+        # serialization reports as one error; NumPy need not warn about it too
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = wave.residual(ode, sol, xi)
+        payload["condensed_system"] = {
+            "residuals": list(report.residuals),
+            "max_abs": float(np.max(np.abs(report.residuals))),
+            "ok": report.ok,
         }
-        if verify:
-            report = wave.verify_condensed_system(params, coeffs, C=C, C1=sol.C1, V0=sol.V0)
-            ansatz = wave.HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=sol.V0, C1=sol.C1, v=sol.v)
-            derived = wave.collect_system(wave.substitute_ansatz(ode, ansatz))
-            derived_res = wave.evaluate_system(derived, report.values)
-            xi = np.linspace(-xi_max, xi_max, xi_samples)
-            # an overflowed kink gives a non-finite residual, which the strict
-            # serialization reports as one error; NumPy need not warn about it too
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = wave.residual(ode, sol, xi)
-            payload["condensed_system"] = {
-                "residuals": list(report.residuals),
-                "max_abs": float(np.max(np.abs(report.residuals))),
-                "ok": report.ok,
-            }
-            payload["derived_system"] = {
-                "residuals": [float(x) for x in derived_res],
-                "max_abs": float(np.max(np.abs(derived_res))),
-            }
-            payload["ode_residual"] = {
-                "xi": [float(x) for x in xi],
-                "r": [float(x) for x in r],
-                "limit": -C,
-            }
-            derived_branches = wave.solve_system(derived)
-            condensed_branches = wave.solve_system(
-                wave.condensed_coefficient_system(params, coeffs, sol.C1)
-            )
-            payload["branches"] = {
-                "derived": [b.to_json() for b in derived_branches],
-                "condensed": [b.to_json() for b in condensed_branches],
-                "summary": {
-                    "derived": wave.describe_solution_set(derived_branches),
-                    "condensed": wave.describe_solution_set(condensed_branches),
-                },
-            }
-        return payload
-    except ZeroDivisionError as exc:
-        raise ConfigError(str(exc)) from exc
+        payload["derived_system"] = {
+            "residuals": [float(x) for x in derived_res],
+            "max_abs": float(np.max(np.abs(derived_res))),
+        }
+        payload["ode_residual"] = {
+            "xi": [float(x) for x in xi],
+            "r": [float(x) for x in r],
+            "limit": -C,
+        }
+        derived_branches = wave.solve_system(derived)
+        condensed_branches = wave.solve_system(
+            wave.condensed_coefficient_system(params, coeffs, sol.C1)
+        )
+        payload["branches"] = {
+            "derived": [b.to_json() for b in derived_branches],
+            "condensed": [b.to_json() for b in condensed_branches],
+            "summary": {
+                "derived": wave.describe_solution_set(derived_branches),
+                "condensed": wave.describe_solution_set(condensed_branches),
+            },
+        }
+    return payload
 
 
 def cmd_soliton(args) -> int:
     opts = _Options(args)
     m = _resolve_half_width(opts)
     params, echo = _resolve_params(opts, default_sigma=1.0)
-    C = opts.get("C", float, 1.0)
+    C = _require_finite("C", opts.get("C", float, 1.0))
     C1 = opts.get("C1", float, 1.0)
     V0 = opts.get("V0", float, 0.0)
     _require_inverse_width(C1)
+    _require_finite("xi_max", args.xi_max)
+    if args.xi_samples < 0:
+        raise ConfigError(f"xi_samples must be nonnegative, got {args.xi_samples!r}")
     coeffs = optimize_coefficients(m)
     payload = _soliton_payload(
         params, echo, coeffs, C, C1, V0, args.verify, args.xi_max, args.xi_samples
@@ -437,13 +447,10 @@ def _build_initial(opts, grid, params, coeffs):
         value = opts.get("value", float, 1.0)
         return sim.inject_constant(grid, value), None, None, {"init": init, "value": value}
     if init == "kink":
-        C = opts.get("C", float, 1.0)
+        C = _require_finite("C", opts.get("C", float, 1.0))
         C1 = _require_inverse_width(opts.get("C1", float, 0.25))
         V0 = opts.get("V0", float, 0.0)
-        try:
-            sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0)
-        except ZeroDivisionError as exc:
-            raise ConfigError(str(exc)) from exc
+        sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0)
         level = opts.get("level", float, sol.V0)
         echo = {"init": init, "C": C, "C1": C1, "V0": V0, "level": level}
         return _inject_kink(grid, sol), sol, level, echo
@@ -590,7 +597,7 @@ def cmd_report(args) -> int:
     opts = _Options(args)
     m = _resolve_half_width(opts)
     params, echo = _resolve_params(opts, default_sigma=1.0)
-    C = opts.get("C", float, 1.0)
+    C = _require_finite("C", opts.get("C", float, 1.0))
     C1 = opts.get("C1", float, 1.0)
     V0 = opts.get("V0", float, 0.0)
     _require_inverse_width(C1)
@@ -625,10 +632,7 @@ def cmd_report(args) -> int:
         snap_every = opts.get("snap_every", int, 10)
         _require_run_length(steps, snap_every)
         grid = _make_grid(N, sim_params.h, coeffs)
-        try:
-            kink = wave.closed_form_kink(sim_params, coeffs, C=C, C1=0.25, V0=V0)
-        except ZeroDivisionError as exc:
-            raise ConfigError(str(exc)) from exc
+        kink = wave.closed_form_kink(sim_params, coeffs, C=C, C1=0.25, V0=V0)
         initial = _inject_kink(grid, kink)
         history = sim.run(initial, coeffs, sim_params, n_steps=steps, snap_every=snap_every)
         simulation = {
@@ -770,7 +774,8 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             return args.func(args)
-        except ConfigError as exc:
+        except (ConfigError, ZeroDivisionError) as exc:
+            # a vanishing denominator, which the raising check names with its inputs
             print(f"drpkit: configuration error: {exc}", file=sys.stderr)
             return 2
         except PowerOverflowError as exc:

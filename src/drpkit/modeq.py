@@ -114,9 +114,6 @@ class DifferentialApproximation:
     def coefficient(self, t_order: int, x_order: int) -> float:
         return self.terms.get((t_order, x_order), 0.0)
 
-    def signatures(self) -> list[tuple[int, int]]:
-        return sorted(self.terms)
-
 
 def _power(name: str, base: float, exponent: int) -> float:
     try:
@@ -170,14 +167,21 @@ def nondimensionalize(
     The result is { (1,0): -1, (2,0): -sigma/2, (0,1): sigma/(tau mu Re_h)
     times the dimensional u_x coefficient }, which equals
     (2 sigma / (mu Re_h)) * sum_{k>=1} k gamma_k for a table produced by
-    ``taylor_expand_scheme``.
+    ``taylor_expand_scheme``.  Raises ZeroDivisionError, naming the
+    product, when tau mu Re_h underflows to zero.
     """
     _require_paper_truncation(da, "nondimensionalize")
     if not math.isclose(params.h, params.h0, rel_tol=1e-12):
         raise ValueError(f"nondimensionalization assumes h = h0, got h={params.h}, h0={params.h0}")
     terms: dict[tuple[int, int], float] = {(1, 0): -1.0, (2, 0): -params.sigma / 2.0}
     if (0, 1) in da.terms:
-        scale = params.sigma / (params.tau * params.mu * params.re_h)
+        denominator = params.tau * params.mu * params.re_h
+        if denominator == 0.0:
+            raise ZeroDivisionError(
+                f"the scale denominator tau mu Re_h underflows to zero at tau = {params.tau!r}, "
+                f"mu = {params.mu!r}, re_h = {params.re_h!r}"
+            )
+        scale = params.sigma / denominator
         value = da.terms[(0, 1)] * scale
         if value != 0.0:
             terms[(0, 1)] = value

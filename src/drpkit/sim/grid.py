@@ -22,15 +22,12 @@ class Grid1D:
 
     N: int
     h: float
-    periodic: bool = True
 
     def __post_init__(self):
         if not isinstance(self.N, int) or self.N < 4:
             raise ValueError(f"need at least 4 nodes, got {self.N!r}")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise ValueError(f"grid spacing must be positive, got {self.h!r}")
-        if not self.periodic:
-            raise ValueError("only periodic grids are supported")
 
     @property
     def length(self) -> float:

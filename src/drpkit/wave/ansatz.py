@@ -25,9 +25,8 @@ def advection_coefficient(params: SchemeParams, coeffs: StencilCoefficients) -> 
 class HyperbolicAnsatz:
     """tanh/sech trial solution of order one.
 
-    u(xi) = U1 tanh(C1 xi) + V1 sech(C1 (xi + x0)) + V0 with xi = x - v t.
-    Order n is fixed to one (balancing the derivative against the leading
-    term forces it); C1 must be nonzero.
+    u(xi) = U1 tanh(C1 xi) + V1 sech(C1 xi) + V0 with xi = x - v t; C1 must
+    be nonzero and finite.
     """
 
     U1: float
@@ -35,12 +34,8 @@ class HyperbolicAnsatz:
     V0: float
     C1: float
     v: float
-    x0: float = 0.0
-    n: int = 1
 
     def __post_init__(self):
-        if self.n != 1:
-            raise ValueError(f"only the order-1 ansatz is supported, got n={self.n}")
         if self.C1 == 0.0 or not math.isfinite(self.C1):
             raise ValueError("inverse width C1 must be nonzero and finite")
 

@@ -30,7 +30,7 @@ reported side by side rather than silently preferring one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,18 +45,12 @@ _TOL = 1e-10
 
 @dataclass(frozen=True)
 class ExpPolynomial:
-    """Polynomial in E = exp(C1 xi) with Poly coefficients over the unknowns.
-
-    ``point`` is the numeric evaluation point assembled from the inputs that
-    produced the object; substituting it (and any xi) must reproduce the
-    original transcendental expression times (1 + E^2)^2.
-    """
+    """Polynomial in E = exp(C1 xi) with Poly coefficients over the unknowns."""
 
     coeffs: tuple[Poly, ...]
     C1: float
     advection: float
     sigma: float
-    point: dict[str, float] = field(default_factory=dict)
 
     @property
     def degree(self) -> int:
@@ -72,22 +66,6 @@ class ExpPolynomial:
         for k, poly in enumerate(self.coeffs):
             total += poly.evaluate(values) * E**k
         return total
-
-    def restrict(self, **values: float) -> "ExpPolynomial":
-        """Fold some unknowns to numbers, keeping the rest symbolic."""
-        coeffs = []
-        for poly in self.coeffs:
-            for name, value in values.items():
-                poly = poly.substitute(name, float(value))
-            coeffs.append(poly)
-        point = {k: v for k, v in self.point.items() if k not in values}
-        return ExpPolynomial(
-            coeffs=tuple(coeffs),
-            C1=self.C1,
-            advection=self.advection,
-            sigma=self.sigma,
-            point=point,
-        )
 
 
 @dataclass(frozen=True)
@@ -109,14 +87,9 @@ def substitute_ansatz(ode: TravelingWaveODE, ansatz: HyperbolicAnsatz) -> ExpPol
     """Exact exponential-polynomial form of (lhs - rhs) * (1 + E^2)^2.
 
     The unknowns stay symbolic; the ODE contributes the numeric advection
-    coefficient and CFL number, the ansatz its inverse width.  Only the
-    order-one ansatz with zero sech offset is supported, and the ansatz
+    coefficient and CFL number, the ansatz its inverse width.  The ansatz
     speed must agree with the speed the ODE was reduced at.
     """
-    if ansatz.n != 1:
-        raise ValueError("only the order-1 ansatz can be substituted")
-    if ansatz.x0 != 0.0:
-        raise ValueError("nonzero sech offset x0 is not supported")
     if not math.isclose(ansatz.v, ode.v, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(f"ansatz speed {ansatz.v!r} differs from ODE speed {ode.v!r}")
     U1, V1, V0, v, C = (Poly.var(s) for s in ("U1", "V1", "V0", "v", "C"))
@@ -135,14 +108,7 @@ def substitute_ansatz(ode: TravelingWaveODE, ansatz: HyperbolicAnsatz) -> ExpPol
         u_factor * u_k + du_factor * du_k - r_k
         for u_k, du_k, r_k in zip(u_part, du_part, rhs_part)
     )
-    point = {
-        "U1": float(ansatz.U1),
-        "V1": float(ansatz.V1),
-        "V0": float(ansatz.V0),
-        "v": float(ansatz.v),
-        "C": float(ode.rhs),
-    }
-    return ExpPolynomial(coeffs=coeffs, C1=c1, advection=A, sigma=ode.sigma, point=point)
+    return ExpPolynomial(coeffs=coeffs, C1=c1, advection=A, sigma=ode.sigma)
 
 
 def collect_system(ep: ExpPolynomial) -> CoefficientSystem:

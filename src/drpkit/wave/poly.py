@@ -310,11 +310,6 @@ def _substitute_number(
     return out
 
 
-def poly_from_symbols() -> tuple[Poly, Poly, Poly, Poly, Poly]:
-    """Convenience: the five unknowns as Poly objects, in SYMBOLS order."""
-    return tuple(Poly.var(name) for name in SYMBOLS)  # type: ignore[return-value]
-
-
 class Rational:
     """Quotient of two Polys; denominators are guaranteed nonzero by the caller."""
 

@@ -22,7 +22,6 @@ branch is reported as such, never padded with a fabricated solution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,21 +29,16 @@ import numpy as np
 from .expansion import CoefficientSystem
 from .poly import SYMBOLS, Poly, Rational
 
-_NE_VALUE = "ne_value"
-_NE_ZERO = "ne_zero"
+#: Splits a branch may take before it is returned unresolved.
+_MAX_DEPTH = 24
 
 
 def _substitute_rational_into_eq(eq: Poly, name: str, num: Poly, den: Poly) -> Poly:
     """Replace name by num/den in an equation and clear the denominator."""
     deg = eq.degree(name)
-    if deg <= 0:
-        return eq
     out = Poly()
     for j in range(deg + 1):
-        cj = eq.coefficient_poly(name, j)
-        if cj.is_zero():
-            continue
-        term = cj
+        term = eq.coefficient_poly(name, j)
         for _ in range(j):
             term = term * num
         for _ in range(deg - j):
@@ -59,62 +53,18 @@ def _value_variables(value) -> set[str]:
     return value.variables()
 
 
-def _substitute_into_value(value, name: str, repl):
-    """Substitute an assignment into another assignment's value.
-
-    ``repl`` may be a float, Poly or Rational; the result is float, Poly or
-    Rational accordingly.
-    """
-    if isinstance(value, float):
-        return value
-    if isinstance(value, Poly):
-        if isinstance(repl, Rational):
-            deg = value.degree(name)
-            if deg <= 0:
-                return value
-            num = _substitute_rational_into_eq(value, name, repl.num, repl.den)
-            den = Poly.const(1.0)
-            for _ in range(deg):
-                den = den * repl.den
-            return _simplify_rational(num, den)
-        return value.substitute(name, repl)
-    # Rational value
-    if isinstance(repl, Rational):
-        dn = value.num.degree(name)
-        dd = value.den.degree(name)
-        num = _substitute_rational_into_eq(value.num, name, repl.num, repl.den)
-        den = _substitute_rational_into_eq(value.den, name, repl.num, repl.den)
-        # clear to a common power of repl.den
-        for _ in range(max(dn, dd) - dn):
-            num = num * repl.den
-        for _ in range(max(dn, dd) - dd):
-            den = den * repl.den
-        return _simplify_rational(num, den)
-    return _simplify_rational(value.num.substitute(name, repl), value.den.substitute(name, repl))
-
-
-def _simplify_rational(num: Poly, den: Poly):
-    dc = den.constant_value()
-    if dc is not None:
-        if dc == 0.0:
-            raise ZeroDivisionError("assignment denominator vanished during resolution")
-        scaled = (1.0 / dc) * num
-        cv = scaled.constant_value()
-        return cv if cv is not None else scaled
-    return Rational(num, den)
-
-
 @dataclass(frozen=True)
 class SolutionBranch:
     """One parameterized family of solutions.
 
     ``assignments`` map pinned unknowns to floats, Polys or Rationals in the
-    free symbols; ``constraints`` record inequations the branch lives under.
+    free symbols; ``constraints`` are the (name, value) pairs of the
+    inequations name != value the branch lives under.
     """
 
     assignments: dict
     free: tuple[str, ...]
-    constraints: tuple[tuple, ...] = ()
+    constraints: tuple[tuple[str, float], ...] = ()
     unresolved_equations: tuple[Poly, ...] = ()
 
     @property
@@ -125,23 +75,13 @@ class SolutionBranch:
         """True when the branch forces U1 = V1 = 0, i.e. only constant waveforms."""
         for name in ("U1", "V1"):
             value = self.assignments.get(name)
-            if value is None:
-                return False
-            if isinstance(value, float):
-                if value != 0.0:
-                    return False
-            elif not (isinstance(value, Poly) and value.is_zero()):
+            # a constant assignment is always a float
+            if not isinstance(value, float) or value != 0.0:
                 return False
         return True
 
     def constraint_strings(self) -> list[str]:
-        out = []
-        for kind, *rest in self.constraints:
-            if kind == _NE_VALUE:
-                out.append(f"{rest[0]} != {rest[1]!r}")
-            else:
-                out.append(f"{rest[0]} != 0")
-        return sorted(out)
+        return sorted(f"{name} != {value!r}" for name, value in self.constraints)
 
     def describe(self) -> str:
         parts = []
@@ -165,17 +105,11 @@ class SolutionBranch:
         """
         for _ in range(200):
             values = {name: float(rng.uniform(-span, span)) for name in self.free}
-            ok = True
-            for kind, *rest in self.constraints:
-                if kind == _NE_VALUE and rest[0] in values:
-                    if abs(values[rest[0]] - rest[1]) < margin:
-                        ok = False
-                elif kind == _NE_ZERO and rest[0] in values:
-                    if abs(values[rest[0]]) < margin:
-                        ok = False
-            if ok:
+            if all(abs(values[name] - value) >= margin
+                   for name, value in self.constraints if name in values):
                 break
         else:
+            # guard: the redraw limit, for constraints no draw can meet
             raise RuntimeError("could not satisfy branch constraints while sampling")
         for name in SYMBOLS:
             if name in self.assignments:
@@ -197,10 +131,9 @@ class SolutionBranch:
 
 
 class _Solver:
-    def __init__(self, advection: float, ztol: float, max_depth: int):
+    def __init__(self, advection: float, ztol: float):
         self.A = advection
         self.ztol = ztol
-        self.max_depth = max_depth
 
     def solve(self, eqs, assignments, constraints, depth) -> list[SolutionBranch]:
         state = self._propagate(list(eqs), dict(assignments), constraints)
@@ -209,7 +142,8 @@ class _Solver:
         eqs, assignments = state
         if not eqs:
             return [self._finalize(assignments, constraints, ())]
-        if depth >= self.max_depth:
+        if depth >= _MAX_DEPTH:
+            # guard: the depth bound; the branch is returned unresolved
             return [self._finalize(assignments, constraints, tuple(eqs))]
         for rule in (self._split_on_speed, self._split_on_sech_amplitude,
                      self._split_on_univariate, self._assign_rational,
@@ -221,15 +155,12 @@ class _Solver:
 
     # -- propagation ---------------------------------------------------
 
-    def _conflicts(self, name, value, constraints) -> bool:
-        if not isinstance(value, float):
-            return False
-        for kind, *rest in constraints:
-            if kind == _NE_VALUE and rest[0] == name and abs(value - rest[1]) <= self.ztol:
-                return True
-            if kind == _NE_ZERO and rest[0] == name and abs(value) <= self.ztol:
-                return True
-        return False
+    def _conflicts(self, name, value: float, constraints) -> bool:
+        """Guard: whether a numeric value breaks one of the branch's inequations."""
+        return any(
+            con_name == name and abs(value - con_value) <= self.ztol
+            for con_name, con_value in constraints
+        )
 
     def _propagate(self, eqs, assignments, constraints):
         while True:
@@ -257,11 +188,10 @@ class _Solver:
                     rest = eq.coefficient_poly(name, 0)
                     value_poly = (-1.0 / coeff) * rest
                     cv = value_poly.constant_value()
-                    value = cv if cv is not None else value_poly
-                    if self._conflicts(name, value, constraints):
-                        return None
-                    assignments[name] = value
-                    eqs = [e.substitute(name, value_poly if cv is None else cv) for e in eqs]
+                    if cv is not None and self._conflicts(name, cv, constraints):
+                        return None  # guard: the pinned value breaks an inequation
+                    assignments[name] = value_poly if cv is None else cv
+                    eqs = [e.substitute(name, assignments[name]) for e in eqs]
                     assigned = name
                     break
                 if assigned:
@@ -272,8 +202,6 @@ class _Solver:
     # -- splitting rules -----------------------------------------------
 
     def _split_on_speed(self, eqs, assignments, constraints, depth):
-        if "v" in assignments:
-            return None
         divisible = [eq.divide_linear("v", self.A) for eq in eqs]
         if not any(q is not None for q in divisible):
             return None
@@ -288,14 +216,10 @@ class _Solver:
                 eq = q
                 q = eq.divide_linear("v", self.A)
             reduced.append(eq)
-        branches += self.solve(
-            reduced, assignments, constraints + ((_NE_VALUE, "v", self.A),), depth + 1
-        )
+        branches += self.solve(reduced, assignments, constraints + (("v", self.A),), depth + 1)
         return branches
 
     def _split_on_sech_amplitude(self, eqs, assignments, constraints, depth):
-        if "V1" in assignments:
-            return None
         divisible = [eq.divide_symbol("V1") for eq in eqs]
         if not any(q is not None for q in divisible):
             return None
@@ -310,9 +234,7 @@ class _Solver:
                 eq = q
                 q = eq.divide_symbol("V1")
             reduced.append(eq)
-        branches += self.solve(
-            reduced, assignments, constraints + ((_NE_ZERO, "V1"),), depth + 1
-        )
+        branches += self.solve(reduced, assignments, constraints + (("V1", 0.0),), depth + 1)
         return branches
 
     def _split_on_univariate(self, eqs, assignments, constraints, depth):
@@ -322,8 +244,8 @@ class _Solver:
                 continue
             name = variables.pop()
             deg = eq.degree(name)
-            if deg < 1 or deg > 4:
-                continue
+            if deg > 4:
+                continue  # guard: np.roots is trusted up to quartics only
             dense = [eq.coefficient_poly(name, k).constant_value() for k in range(deg, -1, -1)]
             roots = np.roots(dense)
             real_roots = []
@@ -335,7 +257,7 @@ class _Solver:
             branches = []
             for value in sorted(real_roots):
                 if self._conflicts(name, value, constraints):
-                    continue
+                    continue  # guard: the root breaks an inequation
                 sub = {**assignments, name: value}
                 sub_eqs = [e.substitute(name, value) for e in eqs]
                 branches += self.solve(sub_eqs, sub, constraints, depth + 1)
@@ -343,22 +265,22 @@ class _Solver:
         return None
 
     def _coeff_nonzero_under_constraints(self, coeff: Poly, constraints) -> bool:
-        cv = coeff.constant_value()
-        if cv is not None:
-            return abs(cv) > self.ztol
-        if (_NE_VALUE, "v", self.A) not in constraints:
+        """Whether coeff is a nonzero constant times a power of (v - A) on a v != A branch.
+
+        A constant coefficient never gets here: propagation has pinned every
+        unknown whose coefficient is a constant above the tolerance.
+        """
+        if ("v", self.A) not in constraints:
             return False
         if coeff.variables() != {"v"}:
-            return False
-        p = coeff
+            return False  # guard: only a polynomial in v alone can be a power of (v - A)
         while True:
-            cv = p.constant_value()
+            coeff = coeff.divide_linear("v", self.A)
+            if coeff is None:
+                return False  # guard: a factor other than (v - A) may vanish
+            cv = coeff.constant_value()
             if cv is not None:
                 return abs(cv) > self.ztol
-            q = p.divide_linear("v", self.A)
-            if q is None:
-                return False
-            p = q
 
     def _assign_rational(self, eqs, assignments, constraints, depth):
         for i, eq in enumerate(eqs):
@@ -368,31 +290,24 @@ class _Solver:
                 coeff = eq.coefficient_poly(name, 1)
                 if not self._coeff_nonzero_under_constraints(coeff, constraints):
                     continue
-                rest = eq.coefficient_poly(name, 0)
-                value = _simplify_rational(-1.0 * rest, coeff)
-                if self._conflicts(name, value, constraints):
-                    return []
-                new_assignments = {**assignments, name: value}
-                new_eqs = []
-                for j, other in enumerate(eqs):
-                    if j == i:
-                        continue
-                    if isinstance(value, Rational):
-                        new_eqs.append(
-                            _substitute_rational_into_eq(other, name, value.num, value.den)
-                        )
-                    else:
-                        new_eqs.append(other.substitute(name, value))
+                num = -1.0 * eq.coefficient_poly(name, 0)
+                new_eqs = [
+                    _substitute_rational_into_eq(other, name, num, coeff)
+                    for j, other in enumerate(eqs)
+                    if j != i
+                ]
+                new_assignments = {**assignments, name: Rational(num, coeff)}
                 return self.solve(new_eqs, new_assignments, constraints, depth + 1)
         return None
 
     def _combo_useful(self, p: Poly, eqs) -> bool:
         cv = p.constant_value()
         if cv is not None:
-            return abs(cv) > self.ztol  # a contradiction is progress; a zero is not
+            # guard: a zero combination is no progress; a nonzero one is a contradiction
+            return abs(cv) > self.ztol
         key = frozenset(p.terms.items())
         if any(frozenset(eq.terms.items()) == key for eq in eqs):
-            return False
+            return False  # guard: an equation already present is no progress
         if len(p.variables()) == 1:
             return True
         if p.divide_linear("v", self.A) is not None:
@@ -409,8 +324,6 @@ class _Solver:
         for i in range(len(eqs)):
             for j in range(i + 1, len(eqs)):
                 for combo in (eqs[i] - eqs[j], eqs[i] + eqs[j]):
-                    if combo.is_zero():
-                        continue
                     if self._combo_useful(combo, eqs):
                         return self.solve(eqs + [combo], assignments, constraints, depth + 1)
         return None
@@ -425,7 +338,8 @@ class _Solver:
                 value = resolved[name]
                 hits = _value_variables(value) & resolved.keys()
                 for other in sorted(hits):
-                    value = _substitute_into_value(value, other, resolved[other])
+                    # a Poly: in both encodings no symbol of a Rational is assigned later
+                    value = value.substitute(other, resolved[other])
                     changed = True
                 if isinstance(value, Poly):
                     cv = value.constant_value()
@@ -438,7 +352,7 @@ class _Solver:
         kept = tuple(
             con
             for con in constraints
-            if con[1] in free or isinstance(resolved.get(con[1]), (Poly, Rational))
+            if con[0] in free or isinstance(resolved.get(con[0]), (Poly, Rational))
         )
         return SolutionBranch(
             assignments=resolved,
@@ -448,26 +362,19 @@ class _Solver:
         )
 
 
-def solve_system(
-    system: CoefficientSystem,
-    params=None,
-    *,
-    fixed: dict | None = None,
-    max_depth: int = 24,
-) -> list[SolutionBranch]:
+def solve_system(system: CoefficientSystem, *, fixed: dict | None = None) -> list[SolutionBranch]:
     """All solution branches of a coefficient system.
 
-    ``fixed`` optionally pins unknowns to numbers before solving (e.g.
-    fixed={"C": 0.0} analyses the zero-integration-constant case).  When
-    ``params`` is supplied its CFL number is cross-checked against the one
-    the system was built with.  The result is the exact solution set of the
-    system as given; if only constant waveforms solve it, that is what the
-    branches say.
+    The domain is the two encodings the package builds: the derived system
+    of ``collect_system`` and the condensed one of
+    ``condensed_coefficient_system``; the case analysis takes only the paths
+    their equations need.  ``fixed`` optionally pins unknowns to numbers
+    before solving (e.g. fixed={"C": 0.0} analyses the zero-integration-
+    constant case).  The result is the exact solution set of the system as
+    given; if only constant waveforms solve it, that is what the branches
+    say, and a branch the case analysis cannot close is returned flagged
+    unresolved.
     """
-    if params is not None and not math.isclose(params.sigma, system.sigma, rel_tol=1e-12):
-        raise ValueError(
-            f"params.sigma={params.sigma!r} differs from the system's sigma={system.sigma!r}"
-        )
     eqs = list(system.equations)
     assignments: dict = {}
     if fixed:
@@ -478,7 +385,7 @@ def solve_system(
             assignments[name] = value
             eqs = [eq.substitute(name, value) for eq in eqs]
     scale = max([1.0] + [eq.max_abs_coeff() for eq in eqs])
-    solver = _Solver(advection=system.advection, ztol=1e-12 * scale, max_depth=max_depth)
+    solver = _Solver(advection=system.advection, ztol=1e-12 * scale)
     branches = solver.solve(eqs, assignments, (), 0)
     unique: dict[str, SolutionBranch] = {}
     for branch in branches:

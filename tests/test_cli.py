@@ -372,6 +372,20 @@ class TestFailureContract:
              "u_x coefficient is inf"),
             (["soliton", "--C", "-1e-3"], 0, None),
             (["coeffs", "--m", "x"], 2, "configuration error: argument --m: invalid int value"),
+            (["modified", "--mu", "1e-200", "--re-h", "1e-200"], 2,
+             "configuration error: U0 = re_h mu / h underflows to zero"),
+            (["simulate", "--mu", "1e-200", "--re-h", "1e-200", "--N", "64", "--steps", "10"], 2,
+             "configuration error: U0 = re_h mu / h underflows to zero"),
+            (["modified", "--tau", "1e-320", "--mu", "1e-10"], 2,
+             "configuration error: the scale denominator tau mu Re_h underflows to zero"),
+            (["simulate", "--C", "-inf", "--N", "64", "--steps", "10"], 2,
+             "configuration error: C must be finite, got -inf"),
+            (["report", "--C", "-inf", "--steps", "10", "--N", "64"], 2,
+             "configuration error: C must be finite, got -inf"),
+            (["soliton", "--xi-max", "inf", "--verify"], 2,
+             "configuration error: xi_max must be finite, got inf"),
+            (["soliton", "--xi-samples", "-3", "--verify"], 2,
+             "configuration error: xi_samples must be nonnegative, got -3"),
         ],
     )
     def test_exit_code_and_one_line_per_message(self, tmp_path, child_env, command, code, message):
@@ -407,6 +421,13 @@ class TestFailureContract:
             ["soliton", "--C", "1e308", "--C1", "1e-300", "--json", "f.json"],
             ["modified", "--sigma", "1.7976931348623157e308", "--m", "3"],
             ["coeffs", "--m", "x"],
+            ["modified", "--mu", "1e-200", "--re-h", "1e-200"],
+            ["simulate", "--mu", "1e-200", "--re-h", "1e-200", "--N", "64", "--steps", "10"],
+            ["modified", "--tau", "1e-320", "--mu", "1e-10"],
+            ["simulate", "--C", "-inf", "--N", "64", "--steps", "10"],
+            ["report", "--C", "-inf", "--steps", "10", "--N", "64"],
+            ["soliton", "--xi-max", "inf", "--verify"],
+            ["soliton", "--xi-samples", "-3", "--verify"],
         ],
     )
     def test_failure_prints_and_writes_nothing(self, tmp_path, child_env, command):

@@ -5,6 +5,7 @@ random admissible values of its free symbols, must annihilate the system
 it came from.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from drpkit.wave import (
     solve_system,
     substitute_ansatz,
 )
+from drpkit.wave.poly import SYMBOLS
 
 PI = math.pi
 
@@ -146,13 +148,6 @@ class TestDegenerate:
         assert branches[0].assignments == {}
         assert set(branches[0].free) == {"U1", "V1", "V0", "v", "C"}
 
-    def test_params_cross_check(self, condensed_system):
-        good = SchemeParams.from_cfl(sigma=1.0, mu=1.0, re_h=1.0)
-        bad = SchemeParams.from_cfl(sigma=0.5, mu=1.0, re_h=1.0)
-        solve_system(condensed_system, good)
-        with pytest.raises(ValueError):
-            solve_system(condensed_system, bad)
-
     def test_unknown_fixed_symbol(self, condensed_system):
         with pytest.raises(KeyError):
             solve_system(condensed_system, fixed={"W": 1.0})
@@ -187,3 +182,48 @@ class TestAcrossConfigurations:
             assert nontrivial[0].assignments["v"] == pytest.approx(
                 system.advection, rel=1e-12
             )
+
+
+class TestPinnedUnknowns:
+    def test_every_pin_subset_on_both_encodings(self):
+        # every nonempty subset of the five unknowns, each pinned to 0.0 or to
+        # one seeded draw: 2 * (3^5 - 1) = 484 solves
+        params = SchemeParams.from_cfl(sigma=0.7, mu=1.3, re_h=2.1)
+        coeffs = optimize_coefficients(3)
+        C1 = 0.6
+        sol = closed_form_kink(params, coeffs, C=1.0, C1=C1)
+        table = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+        ode = reduce_to_ode(table, params, v=sol.v, C=1.0)
+        ansatz = HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=0.0, C1=C1, v=sol.v)
+        systems = (
+            collect_system(substitute_ansatz(ode, ansatz)),
+            condensed_coefficient_system(params, coeffs, C1),
+        )
+        rng = np.random.default_rng(5)
+        drawn = {name: float(rng.uniform(-2.0, 2.0)) for name in SYMBOLS}
+        solves = 0
+        unresolved = []
+        for system in systems:
+            for size in range(1, len(SYMBOLS) + 1):
+                for names in itertools.combinations(SYMBOLS, size):
+                    for values in itertools.product(*[(0.0, drawn[n]) for n in names]):
+                        fixed = dict(zip(names, values))
+                        branches = solve_system(system, fixed=fixed)
+                        solves += 1
+                        summary = describe_solution_set(branches)
+                        if any(b.unresolved for b in branches):
+                            assert summary == "solution set partially unresolved"
+                            unresolved.append((system.encoding, fixed))
+                        resolved = [b for b in branches if not b.unresolved]
+                        if resolved:
+                            assert_branches_sound(system, resolved, rng, draws=3)
+        assert solves == 484
+        # no more unresolved solves than the one known gap: with U1 = 0 and C
+        # pinned to a nonzero number, the derived encoding keeps two
+        # proportional equations that the sum and difference of a pair do
+        # not reduce
+        known_gap = [
+            ("derived", {"U1": 0.0, "C": drawn["C"]}),
+            ("derived", {"U1": 0.0, "V1": 0.0, "C": drawn["C"]}),
+        ]
+        assert all(case in known_gap for case in unresolved), unresolved

@@ -65,8 +65,8 @@ def sympy_equations(templates, system, fixed):
 
 def contains(branch, point, tol=1e-9):
     """Whether a numeric point of all five unknowns lies in a drpkit branch."""
-    for kind, name, *rest in branch.constraints:
-        if (point[name] == rest[0]) if rest else (point[name] == 0.0):
+    for name, value in branch.constraints:
+        if point[name] == value:
             return False
     frees = {name: point[name] for name in branch.free}
     for name, value in branch.assignments.items():
