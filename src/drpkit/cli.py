@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import json
 import math
 import os
@@ -156,8 +155,9 @@ def _require_positive(name: str, value: float) -> float:
     return float(value)
 
 
-def _require_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
+def _require_finite(name: str, value: float | None) -> float | None:
+    """The value, unless it is NaN or an infinity; None (an unset option) passes."""
+    if value is not None and not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
 
@@ -414,7 +414,7 @@ def cmd_soliton(args) -> int:
     params, echo = _resolve_params(opts, default_sigma=1.0)
     C = _require_finite("C", opts.get("C", float, 1.0))
     C1 = opts.get("C1", float, 1.0)
-    V0 = opts.get("V0", float, 0.0)
+    V0 = _require_finite("V0", opts.get("V0", float, 0.0))
     _require_inverse_width(C1)
     _require_finite("xi_max", args.xi_max)
     if args.xi_samples < 0:
@@ -444,34 +444,34 @@ def _build_initial(opts, grid, params, coeffs):
     """Initial state plus (kink solution or None, tracking level or None, echo)."""
     init = opts.get("init", str, "kink")
     if init == "constant":
-        value = opts.get("value", float, 1.0)
+        value = _require_finite("value", opts.get("value", float, 1.0))
         return sim.inject_constant(grid, value), None, None, {"init": init, "value": value}
     if init == "kink":
         C = _require_finite("C", opts.get("C", float, 1.0))
         C1 = _require_inverse_width(opts.get("C1", float, 0.25))
-        V0 = opts.get("V0", float, 0.0)
+        V0 = _require_finite("V0", opts.get("V0", float, 0.0))
         sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0)
-        level = opts.get("level", float, sol.V0)
+        level = _require_finite("level", opts.get("level", float, sol.V0))
         echo = {"init": init, "C": C, "C1": C1, "V0": V0, "level": level}
         return _inject_kink(grid, sol), sol, level, echo
     if init == "gaussian":
-        amplitude = opts.get("amplitude", float, 1.0)
+        amplitude = _require_finite("amplitude", opts.get("amplitude", float, 1.0))
         width = _require_positive("width", opts.get("width", float, grid.length / 12.0))
-        center = opts.get("center", float, grid.length / 2.0)
-        level = opts.get("level", float, amplitude / 2.0)
+        center = _require_finite("center", opts.get("center", float, grid.length / 2.0))
+        level = _require_finite("level", opts.get("level", float, amplitude / 2.0))
         echo = {"init": init, "amplitude": amplitude, "width": width,
                 "center": center, "level": level}
         return sim.inject_gaussian(grid, amplitude, width, center), None, level, echo
     if init == "mode":
         p = opts.get("mode_p", int, 1)
-        amplitude = opts.get("amplitude", float, 1.0)
-        level = opts.get("level", float)
+        amplitude = _require_finite("amplitude", opts.get("amplitude", float, 1.0))
+        level = _require_finite("level", opts.get("level", float))
         echo = {"init": init, "mode_p": p, "amplitude": amplitude, "level": level}
         return sim.inject_mode(grid, p, amplitude), None, level, echo
     if init == "random":
         seed = opts.get("seed", int, 0)
-        amplitude = opts.get("amplitude", float, 1.0)
-        level = opts.get("level", float)
+        amplitude = _require_finite("amplitude", opts.get("amplitude", float, 1.0))
+        level = _require_finite("level", opts.get("level", float))
         echo = {"init": init, "seed": seed, "amplitude": amplitude, "level": level}
         return sim.inject_random(grid, seed, amplitude), None, level, echo
     raise ConfigError(f"unknown init {init!r}")
@@ -489,22 +489,26 @@ def _dominant_mode_speed(state, coeffs, params, grid) -> float | None:
     return -float(np.angle(g)) * grid.h / (params.tau * zeta)
 
 
-def _row_prefixes(grid) -> list[str]:
-    """The ``i,x,`` start of every snapshot row, after the newline that ends the row before.
+def _row_prefixes(grid) -> np.ndarray:
+    """A snapshot row buffer: the ``i,x,`` start of every row at the even slots.
 
-    The same for each snapshot of a run.
+    Each start follows the newline that ends the row before.  The odd slots
+    take a snapshot's value texts; the starts are the same for each snapshot
+    of a run.
     """
-    return [f"\n{i},{x!r}," for i, x in enumerate(grid.nodes().tolist())]
+    rows = np.empty(2 * grid.N, dtype=object)
+    rows[0::2] = [f"\n{i},{x!r}," for i, x in enumerate(grid.nodes().tolist())]
+    return rows
 
 
-def _snapshot_csv(state, grid, prefixes: list[str]) -> str:
+def _snapshot_csv(state, grid, rows: np.ndarray) -> str:
     # repr runs once per distinct bit pattern (kink plateaus and the mirrored
     # front repeat values; the int64 view keeps -0.0 apart from 0.0), and
     # repr of a tolist() float is the string _fmt gives for the same value
     bits, index = np.unique(state.values.view(np.int64), return_inverse=True)
-    texts = list(map(repr, bits.view(np.float64).tolist()))
-    pieces = itertools.chain.from_iterable(zip(prefixes, map(texts.__getitem__, index.tolist())))
-    return f"# t={_fmt(state.t)} N={grid.N} h={_fmt(grid.h)}" + "".join(pieces) + "\n"
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    rows[1::2] = texts[index]
+    return f"# t={_fmt(state.t)} N={grid.N} h={_fmt(grid.h)}" + "".join(rows.tolist()) + "\n"
 
 
 def _run_measurements(history, grid, predicted, level, sol) -> dict:
@@ -561,13 +565,6 @@ def cmd_simulate(args) -> int:
         use_oracle=args.oracle,
     )
 
-    base = _out_dir(opts.get("outdir", str, "."))
-    prefixes = _row_prefixes(grid)
-    for snap in history:
-        _write_text(
-            base / f"snapshot_{snap.step_count:06d}.csv", _snapshot_csv(snap, grid, prefixes)
-        )
-
     payload = {
         **_run_measurements(history, grid, predicted, level, sol),
         "config": {
@@ -581,7 +578,13 @@ def cmd_simulate(args) -> int:
             "backend": sim.KERNEL_BACKEND,
         },
     }
-    _write_json(base / "measurements.json", payload)
+    # serialized first, so a non-finite result writes no snapshot either
+    text = _json_text(payload)
+    base = _out_dir(opts.get("outdir", str, "."))
+    rows = _row_prefixes(grid)
+    for snap in history:
+        _write_text(base / f"snapshot_{snap.step_count:06d}.csv", _snapshot_csv(snap, grid, rows))
+    _write_text(base / "measurements.json", text)
     print(f"wrote {len(history)} snapshots and measurements.json to {base}")
     if predicted is not None:
         print(f"predicted_v = {_fmt(predicted)}")
@@ -599,7 +602,7 @@ def cmd_report(args) -> int:
     params, echo = _resolve_params(opts, default_sigma=1.0)
     C = _require_finite("C", opts.get("C", float, 1.0))
     C1 = opts.get("C1", float, 1.0)
-    V0 = opts.get("V0", float, 0.0)
+    V0 = _require_finite("V0", opts.get("V0", float, 0.0))
     _require_inverse_width(C1)
     samples = opts.get("samples", int, 101)
     coeffs = optimize_coefficients(m)

@@ -77,23 +77,29 @@ def mirrored_kink_profile(grid: Grid1D, sol: KinkSolution, shift: float = 0.0) -
     return mirrored_kink_profiles(grid, sol, [shift])[0]
 
 
-def mirrored_kink_profiles(grid: Grid1D, sol: KinkSolution, shifts) -> np.ndarray:
+def mirrored_kink_profiles(grid: Grid1D, sol: KinkSolution, shifts, nodes=None) -> np.ndarray:
     """``mirrored_kink_profile`` at each of ``shifts``, one row per shift.
 
     Every element goes through the same operations whatever the number of
-    rows, so a row equals the one-shift profile bit for bit.
+    rows, so a row equals the one-shift profile bit for bit.  ``nodes``, an
+    array of grid nodes with one row per shift, restricts each row to those
+    nodes; every entry is then the full row's entry at that node, bit for bit.
     """
     L = grid.length
     x_up = (grid.N // 4) * grid.h
-    # d = mod(x - shift - x_up + L/2, L) - L/2, computed in place.  The nodes
-    # ascend, so a row's first and last entries bound its argument.  On
+    shifts = np.asarray(shifts, dtype=np.float64).reshape(-1, 1)
+    # d = mod(x - shift - x_up + L/2, L) - L/2, computed in place.  Every
+    # node lies in [0, (N-1) h] and rounding is monotone, so the same
+    # operations on those ends and the extreme shifts bound every entry.  On
     # [-L, 2L) one subtraction or addition of L rounds exactly as np.mod does
     # (fmod is exact there); the only difference, -0.0 for +0.0, vanishes at
-    # - L/2, so a block with any row outside that range takes np.mod whole.
-    d = np.subtract(grid.nodes(), np.asarray(shifts, dtype=np.float64).reshape(-1, 1))
+    # - L/2, so a block with any entry outside that range takes np.mod whole.
+    d = np.subtract(grid.nodes() if nodes is None else nodes, shifts)
     d -= x_up
     d += L / 2.0
-    if np.all(-L <= d[:, 0]) and np.all(d[:, -1] < 2.0 * L):
+    lowest = (0.0 - shifts.max() - x_up) + L / 2.0
+    highest = ((grid.N - 1) * grid.h - shifts.min() - x_up) + L / 2.0
+    if -L <= lowest and highest < 2.0 * L:
         np.subtract(d, L, out=d, where=d >= L)
         np.add(d, L, out=d, where=d < 0.0)
     else:

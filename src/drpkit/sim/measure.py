@@ -7,13 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import LostFrontError
+from ..errors import LostFrontError, NonFiniteResultError
 from ..wave.ansatz import KinkSolution
 from .grid import FieldState, Grid1D, mirrored_kink_profile, mirrored_kink_profiles
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # elements per block of lockstep searches: bounded memory, arrays that stay in cache
 _BLOCK_ELEMENTS = 2**15
+# tanh rounds to exactly +-1 from |y| = 18.99 on; tests/test_measure.py pins it from here
+_TANH_FLAT = 20.0
+# the largest share of a row that the two front windows may cover
+_WINDOW_SHARE = 0.6
 
 
 def _rising_crossings(values: np.ndarray, level: float) -> list[float]:
@@ -82,6 +86,55 @@ def _shape_errors(
     return np.sqrt(np.add.reduce(np.square(residual, out=residual), axis=1)) / ac_norm
 
 
+def _window_reach(grid: Grid1D, sol: KinkSolution) -> int | None:
+    """Cells on each side of a front that a shift within h of a node can bend, or None.
+
+    Farther than 20 / |C1| from both fronts, tanh(C1 d) is exactly +-1, so
+    those template entries are the same for every shift of a search.  None
+    when the two windows would cover more than ``_WINDOW_SHARE`` of a row,
+    where recomputing whole rows costs about as much.
+    """
+    scale = abs(sol.C1) * grid.h
+    if not scale * grid.N > _TANH_FLAT:
+        return None
+    reach = math.ceil(_TANH_FLAT / scale) + 3
+    return reach if 2 * (2 * reach + 2) <= _WINDOW_SHARE * grid.N else None
+
+
+def _block_errors(block, grid, sol, starts, ac_norm, reach):
+    """The shape errors of ``block``'s rows as a function of their shifts.
+
+    Row r's shift must lie within h of ``starts[r] * h``.  With a ``reach``,
+    the squared residual of each row at its start is kept, and an evaluation
+    recomputes only the entries within ``reach`` cells of either front (the
+    down-front sits mid-cell for odd N, so each window takes one cell more)
+    before the same full-row reduction: every error keeps its bits.
+    """
+    if reach is None:
+        return lambda shifts: _shape_errors(block, grid, sol, shifts, ac_norm)
+    n = grid.N
+    residual = mirrored_kink_profiles(grid, sol, starts * grid.h)
+    np.subtract(block, residual, out=residual)
+    np.square(residual, out=residual)
+    up = n // 4 + starts
+    fronts = np.stack([up, up + n // 2], axis=1)
+    columns = (fronts[:, :, None] + np.arange(-reach, reach + 2)).reshape(len(starts), -1) % n
+    flat = columns + (np.arange(len(starts)) * n)[:, None]
+    nodes = grid.nodes()[columns]
+    values = block.reshape(-1)[flat]
+    flat_residual = residual.reshape(-1)
+
+    def errors(shifts):
+        window = mirrored_kink_profiles(grid, sol, shifts, nodes)
+        np.subtract(values, window, out=window)
+        flat_residual[flat] = np.square(window, out=window)
+        return np.sqrt(np.add.reduce(residual, axis=1)) / ac_norm
+
+    return errors
+
+
+# overflow is reported as NonFiniteResultError, not by NumPy
+@np.errstate(over="ignore", invalid="ignore")
 def measure_persistence(
     history: list[FieldState], grid: Grid1D, sol: KinkSolution
 ) -> PersistenceReport:
@@ -91,46 +144,65 @@ def measure_persistence(
     part by circular cross-correlation, fractional part by golden-section
     refinement over one cell each way).  Errors are normalized by the AC
     norm ||kink - V0||_2 of the unshifted template, so adding the same
-    constant to the field and to V0 leaves them unchanged.
+    constant to the field and to V0 leaves them unchanged.  Raises
+    NonFiniteResultError when that norm, a cross-correlation or a shape
+    error overflows.
 
     The golden-section searches of a block of snapshots run in lockstep,
     one template row per snapshot and round; every search takes the same
     48 rounds, and each row's arithmetic is that of a search on its own.
+    Where the kink is narrow against the grid, a round recomputes only
+    the cells near the two fronts.
     """
     template = mirrored_kink_profile(grid, sol) - sol.V0
     ac_norm = float(np.sqrt(np.sum(template**2)))
     if ac_norm == 0.0:
         raise ValueError("constant kink template has no shape to match")
+    if not math.isfinite(ac_norm):
+        raise NonFiniteResultError("the AC norm of the kink template overflows a float")
     spectrum_t = np.conj(np.fft.fft(template))
     starts = []
     for snap in history:
         values = np.asarray(snap.values)
         centered = values - np.mean(values)
         corr = np.fft.ifft(np.fft.fft(centered) * spectrum_t).real
-        starts.append(int(np.argmax(corr)) * grid.h)
+        if not np.all(np.isfinite(corr)):
+            raise NonFiniteResultError(
+                f"the cross-correlation of the snapshot at t={snap.t!r} with the kink "
+                "template overflows"
+            )
+        starts.append(int(np.argmax(corr)))
+    reach = _window_reach(grid, sol)
     rows = max(1, _BLOCK_ELEMENTS // grid.N)
     shifts = []
     errors = []
     for first in range(0, len(history), rows):
         block = np.array([snap.values for snap in history[first : first + rows]])
-        s0 = np.array(starts[first : first + rows])
+        block_starts = np.array(starts[first : first + rows])
+        shape_errors = _block_errors(block, grid, sol, block_starts, ac_norm, reach)
+        s0 = block_starts * grid.h
         a, b = s0 - grid.h, s0 + grid.h
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
-        fc = _shape_errors(block, grid, sol, c, ac_norm)
-        fd = _shape_errors(block, grid, sol, d, ac_norm)
+        fc = shape_errors(c)
+        fd = shape_errors(d)
         for _ in range(48):
             # left: b, d, fd = d, c, fc and a new c; else a, c, fc = c, d, fd and a new d
             left = fc < fd
             a, b = np.where(left, a, c), np.where(left, d, b)
             kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
             new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-            f_new = _shape_errors(block, grid, sol, new, ac_norm)
+            f_new = shape_errors(new)
             c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
             d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
         best = (a + b) / 2.0
         shifts += [s % grid.length for s in best.tolist()]
-        errors += _shape_errors(block, grid, sol, best, ac_norm).tolist()
+        errors += shape_errors(best).tolist()
+    for snap, error in zip(history, errors):
+        if not math.isfinite(error):
+            raise NonFiniteResultError(
+                f"the shape error of the snapshot at t={snap.t!r} overflows"
+            )
     return PersistenceReport(
         times=tuple(float(snap.t) for snap in history),
         shifts=tuple(shifts),

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..errors import BlowUpError, NormGuardError
+from ..errors import BlowUpError, NonFiniteResultError, NormGuardError
 from ..modeq import SchemeParams, discrete_symbol
 from ..stencil import StencilCoefficients
 from .grid import FieldState, Grid1D, l2_norm
@@ -138,11 +138,12 @@ def run(
 ) -> list[FieldState]:
     """Advance the field and collect snapshots every ``snap_every`` steps.
 
-    The initial state is snapshot zero.  Aborts with NormGuardError once
-    the L2 norm exceeds ``norm_guard`` times its initial value, and with
-    BlowUpError on non-finite values.  Stepping checks both every
-    ``GUARD_STRIDE`` steps whatever ``snap_every`` is, and the error names
-    the first step past the guard.  With ``use_oracle`` every snapshot is
+    The initial state is snapshot zero.  Raises NonFiniteResultError when
+    its L2 norm overflows, which leaves the guard no bound.  Aborts with
+    NormGuardError once the L2 norm exceeds ``norm_guard`` times its
+    initial value, and with BlowUpError on non-finite values.  Stepping
+    checks both every ``GUARD_STRIDE`` steps whatever ``snap_every`` is,
+    and the error names the first step past the guard.  With ``use_oracle`` every snapshot is
     computed spectrally from the initial state instead of by stepping, and
     the checks run at the snapshots; a tripped snapshot is bisected with
     further oracle calls, so the error names the first step past the guard
@@ -152,7 +153,10 @@ def run(
         raise ValueError("snap_every must be at least 1")
     _check_compatible(initial.values.shape[0], coeffs)
     snapshots = [initial]
-    initial_norm = initial.l2_norm()
+    with np.errstate(over="ignore"):
+        initial_norm = initial.l2_norm()
+    if not math.isfinite(initial_norm):
+        raise NonFiniteResultError("the L2 norm of the initial field overflows a float")
     guard_limit = norm_guard * initial_norm if initial_norm > 0.0 else math.inf
 
     def check(values, done):

@@ -315,7 +315,7 @@ class _Solver:
         return p.divide_symbol("V1") is not None
 
     def _combine_pair(self, eqs, assignments, constraints, depth):
-        """Append a sum or difference of two equations when it exposes structure.
+        """Append the difference of two equations when it exposes structure.
 
         Sound (any solution annihilates every linear combination); used as a
         last resort when no equation alone is divisible or solvable, e.g.
@@ -323,9 +323,9 @@ class _Solver:
         """
         for i in range(len(eqs)):
             for j in range(i + 1, len(eqs)):
-                for combo in (eqs[i] - eqs[j], eqs[i] + eqs[j]):
-                    if self._combo_useful(combo, eqs):
-                        return self.solve(eqs + [combo], assignments, constraints, depth + 1)
+                combo = eqs[i] - eqs[j]
+                if self._combo_useful(combo, eqs):
+                    return self.solve(eqs + [combo], assignments, constraints, depth + 1)
         return None
 
     # -- finalization ----------------------------------------------------

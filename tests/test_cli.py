@@ -386,6 +386,28 @@ class TestFailureContract:
              "configuration error: xi_max must be finite, got inf"),
             (["soliton", "--xi-samples", "-3", "--verify"], 2,
              "configuration error: xi_samples must be nonnegative, got -3"),
+            (["soliton", "--V0", "inf", "--verify"], 2,
+             "configuration error: V0 must be finite, got inf"),
+            (["simulate", "--V0", "nan", "--N", "64", "--steps", "10"], 2,
+             "configuration error: V0 must be finite, got nan"),
+            (["report", "--V0", "inf", "--N", "64", "--steps", "10"], 2,
+             "configuration error: V0 must be finite, got inf"),
+            (["simulate", "--level", "nan", "--N", "64", "--steps", "10"], 2,
+             "configuration error: level must be finite, got nan"),
+            (["simulate", "--init", "constant", "--value", "inf", "--N", "64", "--steps", "10"], 2,
+             "configuration error: value must be finite, got inf"),
+            (["simulate", "--init", "gaussian", "--amplitude", "inf", "--N", "64",
+              "--steps", "10"], 2, "configuration error: amplitude must be finite, got inf"),
+            (["simulate", "--init", "gaussian", "--center", "nan", "--N", "64", "--steps", "10"],
+             2, "configuration error: center must be finite, got nan"),
+            (["simulate", "--init", "random", "--amplitude", "inf", "--N", "64", "--steps", "10"],
+             2, "configuration error: amplitude must be finite, got inf"),
+            (["simulate", "--init", "gaussian", "--amplitude", "1e300", "--N", "64",
+              "--steps", "10"], 3, "L2 norm of the initial field overflows"),
+            (["simulate", "--init", "mode", "--amplitude", "1e200", "--N", "64", "--steps", "20"],
+             3, "L2 norm of the initial field overflows"),
+            (["simulate", "--C", "1e150", "--C1", "0.3", "--N", "64", "--steps", "10"], 3,
+             "cross-correlation of the snapshot at t=0.0 with the kink template overflows"),
         ],
     )
     def test_exit_code_and_one_line_per_message(self, tmp_path, child_env, command, code, message):
@@ -428,6 +450,18 @@ class TestFailureContract:
             ["report", "--C", "-inf", "--steps", "10", "--N", "64"],
             ["soliton", "--xi-max", "inf", "--verify"],
             ["soliton", "--xi-samples", "-3", "--verify"],
+            ["soliton", "--V0", "inf", "--verify"],
+            ["simulate", "--V0", "nan", "--N", "64", "--steps", "10"],
+            ["report", "--V0", "inf", "--N", "64", "--steps", "10"],
+            ["simulate", "--level", "nan", "--N", "64", "--steps", "10"],
+            ["simulate", "--init", "constant", "--value", "inf", "--N", "64", "--steps", "10"],
+            ["simulate", "--init", "gaussian", "--amplitude", "inf", "--N", "64", "--steps", "10"],
+            ["simulate", "--init", "gaussian", "--center", "nan", "--N", "64", "--steps", "10"],
+            ["simulate", "--init", "random", "--amplitude", "inf", "--N", "64", "--steps", "10"],
+            ["simulate", "--init", "gaussian", "--amplitude", "1e300", "--N", "64",
+             "--steps", "10"],
+            ["simulate", "--init", "mode", "--amplitude", "1e200", "--N", "64", "--steps", "20"],
+            ["simulate", "--C", "1e150", "--C1", "0.2", "--N", "64", "--steps", "10"],
         ],
     )
     def test_failure_prints_and_writes_nothing(self, tmp_path, child_env, command):

@@ -16,6 +16,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drpkit import cli, sim, wave
 from drpkit.modeq import SchemeParams, nondimensionalize, taylor_expand_scheme
@@ -174,6 +176,10 @@ class TestKinkTemplate:
             assert block.shape == (len(shifts), N)
             for row, shift in zip(block, shifts):
                 assert_bit_identical(row, reference_kink_profile(grid, sol, shift=shift))
+            # the same nodes gathered per row, as the windowed fit takes them
+            columns = np.random.default_rng(N).integers(0, N, (len(shifts), 7))
+            window = sim.grid.mirrored_kink_profiles(grid, sol, shifts, grid.nodes()[columns])
+            assert_bit_identical(window, np.take_along_axis(block, columns, axis=1))
 
 
 class TestRisingCrossings:
@@ -305,6 +311,48 @@ class TestPersistence:
         report = sim.measure_persistence(history, grid, sol)
         assert max(report.shifts) > L - h and min(report.shifts) < h
         self.assert_matches_reference(history, grid, sol)
+
+
+@st.composite
+def kink_fits(draw):
+    """A grid, a kink of either sign and width, and noisy shifted snapshots of it.
+
+    The kink width in cells, 1 / (|C1| h), runs from far under a cell to a
+    quarter of the grid, so some fits recompute whole rows and others only
+    the cells near the fronts.  The snapshot fronts sit near 0 and L, across
+    the periodic seam, and anywhere.
+    """
+    N = draw(st.integers(8, 4096))
+    h = draw(st.sampled_from([1.0, 0.37, 2.5, 1.0 / 3.0]))
+    C1 = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(4.0 / N, 40.0)) / h
+    U1 = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 5.0))
+    V0 = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)))
+    grid = sim.Grid1D(N, h)
+    L = grid.length
+    x_up = (N // 4) * h
+    # shifts that put the unshifted kink, or its up-front, at 0, L or the seam
+    anchors = st.sampled_from([0.0, L, -x_up, L - x_up, L / 2.0 - x_up])
+    near = st.builds(lambda a, o: a + o * h, anchors, st.floats(-2.0, 2.0))
+    shifts = draw(st.lists(st.one_of(near, st.floats(0.0, L)), min_size=1, max_size=4))
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sol = KinkSolution(U1=U1, V0=V0, C1=C1, v=1.0, C=1.0)
+    history = [
+        sim.FieldState(
+            values=sim.mirrored_kink_profile(grid, sol, shift=shift)
+            + noise * rng.standard_normal(N),
+            t=0.25 * k,
+            step_count=k,
+        )
+        for k, shift in enumerate(shifts)
+    ]
+    return history, grid, sol
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kink_fits())
+def test_persistence_matches_reference_on_drawn_kinks(case):
+    TestPersistence.assert_matches_reference(*case)
 
 
 # -- Poly arithmetic: the per-term implementation, built on the public

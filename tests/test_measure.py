@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from drpkit import sim
-from drpkit.errors import LostFrontError
+from drpkit.errors import LostFrontError, NonFiniteResultError
 from drpkit.modeq import SchemeParams, discrete_symbol
 from drpkit.stencil import StencilCoefficients
 from drpkit.wave import closed_form_kink
+from drpkit.wave.ansatz import KinkSolution
 
 PI = math.pi
 
@@ -111,3 +112,28 @@ class TestMeasurePersistence:
         snap = sim.inject_constant(grid, 1.0)
         with pytest.raises(ValueError):
             sim.measure_persistence([snap], grid, sol)
+
+    @pytest.mark.parametrize(
+        "U1, message",
+        [(1e153, "cross-correlation of the snapshot at t=0.0"), (1e160, "AC norm")],
+    )
+    def test_overflow_raises_instead_of_a_wrong_fit(self, U1, message):
+        # the field is the template, but an overflowed correlation is NaN
+        # throughout, and its argmax would start the search at a wrong shift
+        grid = sim.Grid1D(64, 1.0)
+        sol = KinkSolution(U1=U1, V0=0.0, C1=0.2, v=1.0, C=1.0)
+        snap = sim.FieldState(values=sim.mirrored_kink_profile(grid, sol), t=0.0, step_count=0)
+        with pytest.raises(NonFiniteResultError, match=message):
+            sim.measure_persistence([snap], grid, sol)
+
+
+def test_tanh_is_exactly_one_from_twenty_on():
+    # the windowed fit takes the template as U1 * (+-1) + V0 wherever
+    # |C1 d| >= 20; a dense grid of [20, 1e3], then a few far values
+    y = np.concatenate([
+        np.linspace(20.0, 1e3, 2_000_001),
+        20.0 + np.arange(100_000) * np.spacing(20.0),
+        [1e4, 1e100, 1.7976931348623157e308, np.inf],
+    ])
+    assert np.all(np.tanh(y) == 1.0)
+    assert np.all(np.tanh(-y) == -1.0)
