@@ -8,8 +8,9 @@ artifact.  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure.  Relative output paths land in $DRPKIT_OUTPUT_DIR when it is set.
 
 All artifacts are deterministic: floats are written with full round-trip
-precision via repr, JSON keys are sorted, and nothing records wall-clock
-time, so fixed configs produce byte-identical files.
+precision as repr writes them (snapshot CSVs get repr's text from orjson),
+JSON keys are sorted, and nothing records wall-clock time, so fixed configs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ _SET_BY = {
     "v": "v is the kink speed, set by --sigma or --tau, --mu and --re-h",
 }
 _OUTPUT_DIR_ENV = "DRPKIT_OUTPUT_DIR"
+# the most samples or grid nodes a command accepts: 2**24 float64 values take
+# 128 MiB per array, and a larger count is a typo, not a desk-scale run
+MAX_COUNT = 2**24
 # a negative float literal, which argparse must read as a value
 _NEGATIVE_NUMBER = re.compile(
     r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
@@ -171,6 +175,20 @@ def _require_inverse_width(C1: float) -> float:
     return C1
 
 
+def _require_count(name: str, value: int) -> int:
+    """A sample or node count, which may not exceed MAX_COUNT."""
+    if value > MAX_COUNT:
+        raise ConfigError(f"{name} must be at most {MAX_COUNT}, got {value!r}")
+    return value
+
+
+def _resolve_samples(opts: _Options) -> int:
+    samples = opts.get("samples", int, 101)
+    if samples < 2:
+        raise ConfigError(f"samples must be at least 2, got {samples}")
+    return _require_count("samples", samples)
+
+
 def _require_run_length(steps: int, snap_every: int):
     if steps < 1 or snap_every < 1:
         raise ConfigError("steps and snap_every must be positive")
@@ -190,6 +208,7 @@ def _inject_kink(grid, sol) -> sim.FieldState:
 
 
 def _make_grid(N: int, h: float, coeffs) -> sim.Grid1D:
+    _require_count("N", N)
     try:
         grid = sim.Grid1D(N=N, h=h)
     except ValueError as exc:
@@ -308,9 +327,7 @@ def cmd_coeffs(args) -> int:
 def cmd_dispersion(args) -> int:
     opts = _Options(args)
     m = _resolve_half_width(opts)
-    samples = opts.get("samples", int, 101)
-    if samples < 2:
-        raise ConfigError(f"samples must be at least 2, got {samples}")
+    samples = _resolve_samples(opts)
     coeffs = optimize_coefficients(m)
     rows = dispersion_samples(coeffs, samples)
     lines = [f"# m={m} samples={samples}", "zeta,lambda_bar_h,error"]
@@ -419,6 +436,7 @@ def cmd_soliton(args) -> int:
     _require_finite("xi_max", args.xi_max)
     if args.xi_samples < 0:
         raise ConfigError(f"xi_samples must be nonnegative, got {args.xi_samples!r}")
+    _require_count("xi_samples", args.xi_samples)
     coeffs = optimize_coefficients(m)
     payload = _soliton_payload(
         params, echo, coeffs, C, C1, V0, args.verify, args.xi_max, args.xi_samples
@@ -470,6 +488,8 @@ def _build_initial(opts, grid, params, coeffs):
         return sim.inject_mode(grid, p, amplitude), None, level, echo
     if init == "random":
         seed = opts.get("seed", int, 0)
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed!r}")
         amplitude = _require_finite("amplitude", opts.get("amplitude", float, 1.0))
         level = _require_finite("level", opts.get("level", float))
         echo = {"init": init, "seed": seed, "amplitude": amplitude, "level": level}
@@ -489,26 +509,50 @@ def _dominant_mode_speed(state, coeffs, params, grid) -> float | None:
     return -float(np.angle(g)) * grid.h / (params.tau * zeta)
 
 
-def _row_prefixes(grid) -> np.ndarray:
+def _float_texts(values) -> list[str]:
+    """``repr(float(v))`` of every finite element of ``values``, in order.
+
+    orjson writes the same shortest round-trip digits as ``repr`` at a
+    fraction of the cost, and lays them out differently in two magnitude
+    bands, which are rewritten here: it writes [1e-5, 1e-4) positionally
+    (``0.0000ddd``), a one-digit negative exponent without its leading zero
+    (``e-7``) and a positive exponent without its sign (``e16``).  Zeros of
+    both signs, [1e-4, 1e16) and everything below 1e-9 it writes as ``repr``
+    does.  A NaN or an infinity would come out as ``null``.
+    """
+    # imported here, so commands that write no snapshot do not pay for it
+    import orjson
+
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not values.size:
+        return []
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(values)
+    for i in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
+        sign, _, digits = texts[i].partition("0.0000")
+        texts[i] = f"{sign}{digits[0]}.{digits[1:]}e-05" if digits[1:] else f"{sign}{digits}e-05"
+    for i in np.flatnonzero((magnitude >= 1e-9) & (magnitude < 1e-5)).tolist():
+        texts[i] = texts[i].replace("e-", "e-0")
+    for i in np.flatnonzero(magnitude >= 1e16).tolist():
+        texts[i] = texts[i].replace("e", "e+")
+    return texts
+
+
+def _row_prefixes(grid) -> list[str]:
     """A snapshot row buffer: the ``i,x,`` start of every row at the even slots.
 
     Each start follows the newline that ends the row before.  The odd slots
     take a snapshot's value texts; the starts are the same for each snapshot
     of a run.
     """
-    rows = np.empty(2 * grid.N, dtype=object)
-    rows[0::2] = [f"\n{i},{x!r}," for i, x in enumerate(grid.nodes().tolist())]
+    rows = [""] * (2 * grid.N)
+    rows[0::2] = [f"\n{i},{x}," for i, x in enumerate(_float_texts(grid.nodes()))]
     return rows
 
 
-def _snapshot_csv(state, grid, rows: np.ndarray) -> str:
-    # repr runs once per distinct bit pattern (kink plateaus and the mirrored
-    # front repeat values; the int64 view keeps -0.0 apart from 0.0), and
-    # repr of a tolist() float is the string _fmt gives for the same value
-    bits, index = np.unique(state.values.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    rows[1::2] = texts[index]
-    return f"# t={_fmt(state.t)} N={grid.N} h={_fmt(grid.h)}" + "".join(rows.tolist()) + "\n"
+def _snapshot_csv(state, grid, rows: list[str]) -> str:
+    rows[1::2] = _float_texts(state.values)
+    return f"# t={_fmt(state.t)} N={grid.N} h={_fmt(grid.h)}" + "".join(rows) + "\n"
 
 
 def _run_measurements(history, grid, predicted, level, sol) -> dict:
@@ -604,7 +648,7 @@ def cmd_report(args) -> int:
     C1 = opts.get("C1", float, 1.0)
     V0 = _require_finite("V0", opts.get("V0", float, 0.0))
     _require_inverse_width(C1)
-    samples = opts.get("samples", int, 101)
+    samples = _resolve_samples(opts)
     coeffs = optimize_coefficients(m)
 
     rows = dispersion_samples(coeffs, samples)

@@ -408,6 +408,18 @@ class TestFailureContract:
              3, "L2 norm of the initial field overflows"),
             (["simulate", "--C", "1e150", "--C1", "0.3", "--N", "64", "--steps", "10"], 3,
              "cross-correlation of the snapshot at t=0.0 with the kink template overflows"),
+            (["simulate", "--init", "random", "--seed", "-1", "--N", "64", "--steps", "10"], 2,
+             "configuration error: seed must be nonnegative, got -1"),
+            (["dispersion", "--samples", "100000000000000"], 2,
+             "configuration error: samples must be at most 16777216, got 100000000000000"),
+            (["report", "--samples", "100000000000000", "--no-sim"], 2,
+             "configuration error: samples must be at most 16777216, got 100000000000000"),
+            (["soliton", "--xi-samples", "100000000000000", "--verify"], 2,
+             "configuration error: xi_samples must be at most 16777216, got 100000000000000"),
+            (["simulate", "--N", "100000000000000", "--steps", "10"], 2,
+             "configuration error: N must be at most 16777216, got 100000000000000"),
+            (["report", "--samples", "1", "--no-sim"], 2,
+             "configuration error: samples must be at least 2, got 1"),
         ],
     )
     def test_exit_code_and_one_line_per_message(self, tmp_path, child_env, command, code, message):
@@ -462,6 +474,12 @@ class TestFailureContract:
              "--steps", "10"],
             ["simulate", "--init", "mode", "--amplitude", "1e200", "--N", "64", "--steps", "20"],
             ["simulate", "--C", "1e150", "--C1", "0.2", "--N", "64", "--steps", "10"],
+            ["simulate", "--init", "random", "--seed", "-1", "--N", "64", "--steps", "10"],
+            ["dispersion", "--samples", "100000000000000"],
+            ["report", "--samples", "100000000000000", "--no-sim"],
+            ["soliton", "--xi-samples", "100000000000000", "--verify"],
+            ["simulate", "--N", "100000000000000", "--steps", "10"],
+            ["report", "--samples", "1", "--no-sim"],
         ],
     )
     def test_failure_prints_and_writes_nothing(self, tmp_path, child_env, command):

@@ -16,8 +16,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from drpkit import cli, sim, wave
 from drpkit.modeq import SchemeParams, nondimensionalize, taylor_expand_scheme
@@ -104,6 +105,14 @@ def reference_measure_persistence(history, grid, sol):
         shifts.append(float(best_shift % grid.length))
         errors.append(shape_error(values, best_shift))
     return tuple(times), tuple(shifts), tuple(errors)
+
+
+def layout_boundaries():
+    """Where orjson's layout and repr's part, with both neighbours, of both signs."""
+    edges = np.array([1e-9, 1e-5, 1e-4, 1e16])
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    values = np.concatenate([near, -near, [5e-324, -5e-324, 1.7976931348623157e308, 0.0, -0.0]])
+    return values.tolist()
 
 
 def assert_bit_identical(a, b):
@@ -236,8 +245,10 @@ class TestSnapshotCsv:
             [0.25] * 9,
             [-0.0] * 6,
             list(np.arange(37) * 0.1 - 1.7),
+            layout_boundaries(),
         ],
-        ids=["signed-zeros", "subnormals", "all-equal", "all-negative-zero", "all-distinct"],
+        ids=["signed-zeros", "subnormals", "all-equal", "all-negative-zero", "all-distinct",
+             "layout-boundaries"],
     )
     def test_repeated_values_match_per_row_reference(self, values):
         grid = sim.Grid1D(len(values), 0.5)
@@ -256,6 +267,21 @@ class TestSnapshotCsv:
             # plateaus and the mirrored front repeat most values
             assert len(np.unique(snap.values)) < grid.N
             assert cli._snapshot_csv(snap, grid, prefixes) == reference_snapshot_csv(snap, grid)
+
+
+class TestFloatTexts:
+    """The orjson renderer gives repr's text for every finite float."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 64),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array(layout_boundaries()))
+    def test_matches_repr(self, arr):
+        assert cli._float_texts(arr) == list(map(repr, arr.tolist()))
+
+    def test_strided_input_matches_repr(self):
+        arr = np.array(layout_boundaries() * 3)
+        assert cli._float_texts(arr[::2]) == list(map(repr, arr[::2].tolist()))
 
 
 class TestPersistence:
