@@ -2,10 +2,11 @@
 
 Subcommands: ``coeffs``, ``dispersion``, ``modified``, ``soliton``,
 ``simulate``, ``report``.  Options may come from a key/value config file
-(INI, section ``[drpkit]``); flags override file values, built-in defaults
-fill the rest, and the effective configuration is echoed into every JSON
-artifact.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.  Relative output paths land in $DRPKIT_OUTPUT_DIR when it is set.
+(INI, section ``[drpkit]``, keys named as the options); flags override file
+values, each command's defaults fill the rest, and the effective
+configuration is echoed into every JSON artifact.  Exit codes: 0 success,
+2 configuration error, 3 numerical failure.  Relative output paths land in
+$DRPKIT_OUTPUT_DIR when it is set.
 
 All artifacts are deterministic: floats are written with full round-trip
 precision as repr writes them (snapshot CSVs get repr's text from orjson),
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -24,6 +26,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -61,8 +64,9 @@ _SET_BY = {
     "v": "v is the kink speed, set by --sigma or --tau, --mu and --re-h",
 }
 _OUTPUT_DIR_ENV = "DRPKIT_OUTPUT_DIR"
-# the most samples or grid nodes a command accepts: 2**24 float64 values take
-# 128 MiB per array, and a larger count is a typo, not a desk-scale run
+# the largest count of samples, grid nodes or steps a command accepts: 2**24
+# float64 values take 128 MiB per array, and a larger count is a typo, not a
+# desk-scale run
 MAX_COUNT = 2**24
 # a negative float literal, which argparse must read as a value
 _NEGATIVE_NUMBER = re.compile(
@@ -121,77 +125,124 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
     _warn(str(message))
 
 
+def _finite(name: str, value: float):
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def _positive(name: str, value: float):
+    if not math.isfinite(value) or value <= 0.0:
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _inverse_width(name: str, value: float):
+    """A normal float is required: a subnormal C1 overflows the kink algebra."""
+    if not math.isfinite(value) or abs(value) < sys.float_info.min:
+        raise ConfigError(
+            f"{name} must be finite with magnitude at least {sys.float_info.min!r}, got {value!r}"
+        )
+
+
+def _at_least(least: int, most: int | None = MAX_COUNT):
+    """The check of an integer in [least, most]."""
+    floor = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+
+    def check(name: str, value: int):
+        if value < least:
+            raise ConfigError(f"{name} must be {floor}, got {value!r}")
+        if most is not None and value > most:
+            raise ConfigError(f"{name} must be at most {most}, got {value!r}")
+
+    return check
+
+
+# Each value option's type (or the values allowed), help and check.  Its flag
+# is --name with - for _, its config key the name; a command reads the options
+# in its _COMMANDS defaults.
+_OPTIONS: dict[str, tuple[type | tuple[str, ...], str, Callable[[str, Any], None] | None]] = {
+    "m": (int, "stencil half-width", _at_least(1, MAX_HALF_WIDTH)),
+    "sigma": (float, "CFL number sigma = c tau / h", _positive),
+    "tau": (float, "time step (default sigma h / c)", _positive),
+    "h": (float, "mesh size", _positive),
+    "c": (float, "advection constant", _positive),
+    "mu": (float, "viscosity", _positive),
+    "re_h": (float, "mesh Reynolds number", _positive),
+    "C": (float, "integration constant", _finite),
+    "C1": (float, "inverse kink width", _inverse_width),
+    "V0": (float, "kink offset", _finite),
+    "p": (int, "time truncation order", None),
+    "q": (int, "space truncation order", None),
+    "xi_max": (float, "the ODE residual is sampled on [-xi_max, xi_max]", _finite),
+    "xi_samples": (int, "ODE residual samples", _at_least(0)),
+    "samples": (int, "number of zeta samples", _at_least(2)),
+    "N": (int, "grid nodes", _at_least(4)),
+    "steps": (int, "time steps", _at_least(1)),
+    "snap_every": (int, "snapshot stride", _at_least(1)),
+    "init": (("kink", "gaussian", "constant", "mode", "random"), "initial condition", None),
+    "amplitude": (float, "amplitude of a gaussian, mode or random init", _finite),
+    "width": (float, "gaussian width (default N h / 12)", _positive),
+    "center": (float, "gaussian center (default N h / 2)", _finite),
+    "value": (float, "constant-init value", _finite),
+    "mode_p": (int, "mode number for --init mode", None),
+    "seed": (int, "RNG seed for --init random", _at_least(0, None)),
+    "level": (float, "tracking level (default the kink's V0, half a gaussian's peak)", _finite),
+    "outdir": (str, "output directory", None),
+}
+
+
 def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # keys keep their case: C is not c
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r}: {str(exc).splitlines()[0]}") from exc
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
     if not parser.has_section(_CONFIG_SECTION):
         raise ConfigError(f"config file {path!r} has no [{_CONFIG_SECTION}] section")
-    return dict(parser.items(_CONFIG_SECTION))
+    values = dict(parser.items(_CONFIG_SECTION))
+    unknown = ", ".join(repr(key) for key in values if key not in _OPTIONS)
+    if unknown:
+        raise ConfigError(f"config file {path!r}: no option is named {unknown}")
+    return values
 
 
 class _Options:
-    """Flag > config-file > default resolution with type casting."""
+    """A command's option values, each checked as it is read.
+
+    A value comes from the flag, else the config file, else the command's
+    default in _COMMANDS, else the default the caller computed.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.file_values = _load_config_file(getattr(args, "config", None))
+        self.defaults = _COMMANDS[args.command].defaults
+        self.file_values = _load_config_file(args.config)
 
-    def get(self, name: str, cast, default=None):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        if name in self.file_values:
+    def supplied(self, name: str) -> bool:
+        return getattr(self.args, name) is not None or name in self.file_values
+
+    def get(self, name: str, computed=None):
+        kind, _, check = _OPTIONS[name]
+        value = getattr(self.args, name)
+        if value is None and name in self.file_values:
             raw = self.file_values[name]
+            if isinstance(kind, tuple) and raw not in kind:
+                raise ConfigError(f"config key {name!r}: {raw!r} is not one of {', '.join(kind)}")
             try:
-                return cast(raw)
+                value = raw if isinstance(kind, tuple) else kind(raw)
             except ValueError as exc:
                 raise ConfigError(f"config key {name!r}: cannot parse {raw!r}") from exc
-        return default
-
-
-def _require_positive(name: str, value: float) -> float:
-    if value is None or not math.isfinite(value) or value <= 0.0:
-        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-    return float(value)
-
-
-def _require_finite(name: str, value: float | None) -> float | None:
-    """The value, unless it is NaN or an infinity; None (an unset option) passes."""
-    if value is not None and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _require_inverse_width(C1: float) -> float:
-    """C1 must be finite and a normal float; a subnormal C1 overflows the kink algebra."""
-    if not math.isfinite(C1) or abs(C1) < sys.float_info.min:
-        raise ConfigError(
-            f"C1 must be finite with magnitude at least {sys.float_info.min!r}, got {C1!r}"
-        )
-    return C1
-
-
-def _require_count(name: str, value: int) -> int:
-    """A sample or node count, which may not exceed MAX_COUNT."""
-    if value > MAX_COUNT:
-        raise ConfigError(f"{name} must be at most {MAX_COUNT}, got {value!r}")
-    return value
-
-
-def _resolve_samples(opts: _Options) -> int:
-    samples = opts.get("samples", int, 101)
-    if samples < 2:
-        raise ConfigError(f"samples must be at least 2, got {samples}")
-    return _require_count("samples", samples)
-
-
-def _require_run_length(steps: int, snap_every: int):
-    if steps < 1 or snap_every < 1:
-        raise ConfigError("steps and snap_every must be positive")
+        if value is None:
+            value = self.defaults[name]
+        if value is None:
+            value = computed
+        if value is not None and check is not None:
+            check(name, value)
+        return value
 
 
 def _inject_kink(grid, sol) -> sim.FieldState:
@@ -208,66 +259,52 @@ def _inject_kink(grid, sol) -> sim.FieldState:
 
 
 def _make_grid(N: int, h: float, coeffs) -> sim.Grid1D:
-    _require_count("N", N)
-    try:
-        grid = sim.Grid1D(N=N, h=h)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if grid.N <= 2 * coeffs.m:
-        raise ConfigError(f"N={grid.N} too small for half-width {coeffs.m}")
-    return grid
+    if N <= 2 * coeffs.m:
+        raise ConfigError(f"N={N} too small for half-width {coeffs.m}")
+    return sim.Grid1D(N=N, h=h)
 
 
-def _resolve_half_width(opts: _Options) -> int:
-    m = opts.get("m", int, 1)
-    if not isinstance(m, int) or m < 1 or m > MAX_HALF_WIDTH:
-        raise ConfigError(f"half-width m must be an integer in [1, {MAX_HALF_WIDTH}], got {m!r}")
-    return m
-
-
-def _resolve_params(opts: _Options, default_sigma: float) -> tuple[SchemeParams, dict]:
+def _resolve_params(opts: _Options) -> SchemeParams:
     """Build SchemeParams from (sigma | tau) with h, c, mu, re_h.
 
-    Any one of sigma and tau is derivable from the other through
-    sigma = c tau / h; when both are given they must agree.
+    Either of sigma and tau follows from the other through sigma = c tau / h,
+    the command's default sigma applies when neither is given, and when both
+    are given they must agree.
     """
-    h = _require_positive("h", opts.get("h", float, 1.0))
-    c = _require_positive("c", opts.get("c", float, 1.0))
-    mu = _require_positive("mu", opts.get("mu", float, 1.0))
-    re_h = _require_positive("re_h", opts.get("re_h", float, 1.0))
-    sigma = opts.get("sigma", float)
-    tau = opts.get("tau", float)
-    if sigma is None and tau is None:
-        sigma = default_sigma
+    h, c, mu, re_h = (opts.get(name) for name in ("h", "c", "mu", "re_h"))
+    sigma = opts.get("sigma") if opts.supplied("sigma") or not opts.supplied("tau") else None
+    tau = opts.get("tau")
+    if tau is None:
         tau = sigma * h / c
     elif sigma is None:
-        tau = _require_positive("tau", tau)
         sigma = c * tau / h
-    elif tau is None:
-        sigma = _require_positive("sigma", sigma)
-        tau = sigma * h / c
-    else:
-        sigma = _require_positive("sigma", sigma)
-        tau = _require_positive("tau", tau)
-        if not math.isclose(sigma, c * tau / h, rel_tol=1e-12):
-            raise ConfigError(
-                f"inconsistent dynamics: sigma={sigma!r} but c*tau/h={c * tau / h!r}"
-            )
+    elif not math.isclose(sigma, c * tau / h, rel_tol=1e-12):
+        raise ConfigError(f"inconsistent dynamics: sigma={sigma!r} but c*tau/h={c * tau / h!r}")
     U0 = re_h * mu / h
     if U0 == 0.0:
         raise ConfigError(
             f"U0 = re_h mu / h underflows to zero at re_h = {re_h!r}, mu = {mu!r}, h = {h!r}"
         )
     try:
-        params = SchemeParams(
+        return SchemeParams(
             c=c, mu=mu, tau=tau, h=h, sigma=sigma, U0=U0, tau0=h / U0, h0=h, re_h=re_h
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    echo = {"sigma": params.sigma, "tau": params.tau, "h": params.h, "c": params.c,
-            "mu": params.mu, "re_h": params.re_h, "U0": params.U0, "tau0": params.tau0,
-            "h0": params.h0}
-    return params, echo
+
+
+def _tables(coeffs, params: SchemeParams, p: int = 2, q: int = 1):
+    """The (p, q) table and the nondimensional table of the reference truncation.
+
+    A bad order, or a coefficient that underflows to zero, is bad input.
+    """
+    try:
+        dimensional = taylor_expand_scheme(coeffs, params, p, q)
+        # the nondimensional form is defined for the reference truncation only
+        reference = dimensional if (p, q) == (2, 1) else taylor_expand_scheme(coeffs, params, 2, 1)
+        return dimensional, nondimensionalize(reference, params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _table_json(da: DifferentialApproximation) -> dict:
@@ -302,8 +339,7 @@ def _print_table(label: str, da: DifferentialApproximation):
 
 
 def cmd_coeffs(args) -> int:
-    opts = _Options(args)
-    m = _resolve_half_width(opts)
+    m = _Options(args).get("m")
     coeffs = optimize_coefficients(m)
     error = integrated_error(coeffs)
     print(f"half-width m = {m}")
@@ -326,8 +362,8 @@ def cmd_coeffs(args) -> int:
 
 def cmd_dispersion(args) -> int:
     opts = _Options(args)
-    m = _resolve_half_width(opts)
-    samples = _resolve_samples(opts)
+    m = opts.get("m")
+    samples = opts.get("samples")
     coeffs = optimize_coefficients(m)
     rows = dispersion_samples(coeffs, samples)
     lines = [f"# m={m} samples={samples}", "zeta,lambda_bar_h,error"]
@@ -346,18 +382,12 @@ def cmd_dispersion(args) -> int:
 
 def cmd_modified(args) -> int:
     opts = _Options(args)
-    m = _resolve_half_width(opts)
-    params, echo = _resolve_params(opts, default_sigma=1.0)
-    p = opts.get("p", int, 2)
-    q = opts.get("q", int, 1)
+    m = opts.get("m")
+    params = _resolve_params(opts)
+    p = opts.get("p")
+    q = opts.get("q")
     coeffs = optimize_coefficients(m)
-    try:
-        dimensional = taylor_expand_scheme(coeffs, params, p, q)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # the nondimensional form is defined for the reference truncation only
-    reference = dimensional if (p, q) == (2, 1) else taylor_expand_scheme(coeffs, params, 2, 1)
-    nondim = nondimensionalize(reference, params)
+    dimensional, nondim = _tables(coeffs, params, p, q)
     _require_finite_table("dimensional", dimensional)
     _require_finite_table("nondimensional", nondim)
     _print_table("dimensional", dimensional)
@@ -366,7 +396,7 @@ def cmd_modified(args) -> int:
         payload = {
             "dimensional": _table_json(dimensional),
             "nondimensional": _table_json(nondim),
-            "config": {**echo, "m": m, "p": p, "q": q},
+            "config": {**dataclasses.asdict(params), "m": m, "p": p, "q": q},
         }
         _write_json(_out_path(args.json), payload)
     return 0
@@ -378,7 +408,7 @@ def cmd_modified(args) -> int:
 def _soliton_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples) -> dict:
     """The record ``soliton`` prints and ``report`` embeds."""
     sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0).canonical()
-    nondim = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+    _, nondim = _tables(coeffs, params)
     ode = wave.reduce_to_ode(nondim, params, v=sol.v, C=C)
     payload: dict = {
         "solution": {
@@ -387,6 +417,8 @@ def _soliton_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples
         "config": {**echo, "m": coeffs.m, "C": C, "C1": C1, "V0": V0},
     }
     if verify:
+        # an overflowed table gives the case solver non-finite coefficients
+        _require_finite_table("nondimensional", nondim)
         report = wave.verify_condensed_system(params, coeffs, C=C, C1=sol.C1, V0=sol.V0)
         ansatz = wave.HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=sol.V0, C1=sol.C1, v=sol.v)
         derived = wave.collect_system(wave.substitute_ansatz(ode, ansatz))
@@ -427,19 +459,14 @@ def _soliton_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples
 
 def cmd_soliton(args) -> int:
     opts = _Options(args)
-    m = _resolve_half_width(opts)
-    params, echo = _resolve_params(opts, default_sigma=1.0)
-    C = _require_finite("C", opts.get("C", float, 1.0))
-    C1 = opts.get("C1", float, 1.0)
-    V0 = _require_finite("V0", opts.get("V0", float, 0.0))
-    _require_inverse_width(C1)
-    _require_finite("xi_max", args.xi_max)
-    if args.xi_samples < 0:
-        raise ConfigError(f"xi_samples must be nonnegative, got {args.xi_samples!r}")
-    _require_count("xi_samples", args.xi_samples)
+    m = opts.get("m")
+    params = _resolve_params(opts)
+    C, C1, V0, xi_max, xi_samples = (
+        opts.get(name) for name in ("C", "C1", "V0", "xi_max", "xi_samples")
+    )
     coeffs = optimize_coefficients(m)
     payload = _soliton_payload(
-        params, echo, coeffs, C, C1, V0, args.verify, args.xi_max, args.xi_samples
+        params, dataclasses.asdict(params), coeffs, C, C1, V0, args.verify, xi_max, xi_samples
     )
     # serialized first, so a non-finite result is neither printed nor written
     text = _json_text(payload)
@@ -460,49 +487,41 @@ def cmd_soliton(args) -> int:
 
 def _build_initial(opts, grid, params, coeffs):
     """Initial state plus (kink solution or None, tracking level or None, echo)."""
-    init = opts.get("init", str, "kink")
+    init = opts.get("init")
     if init == "constant":
-        value = _require_finite("value", opts.get("value", float, 1.0))
+        value = opts.get("value")
         return sim.inject_constant(grid, value), None, None, {"init": init, "value": value}
     if init == "kink":
-        C = _require_finite("C", opts.get("C", float, 1.0))
-        C1 = _require_inverse_width(opts.get("C1", float, 0.25))
-        V0 = _require_finite("V0", opts.get("V0", float, 0.0))
+        C, C1, V0 = (opts.get(name) for name in ("C", "C1", "V0"))
         sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0)
-        level = _require_finite("level", opts.get("level", float, sol.V0))
+        level = opts.get("level", computed=sol.V0)
         echo = {"init": init, "C": C, "C1": C1, "V0": V0, "level": level}
         return _inject_kink(grid, sol), sol, level, echo
     if init == "gaussian":
-        amplitude = _require_finite("amplitude", opts.get("amplitude", float, 1.0))
-        width = _require_positive("width", opts.get("width", float, grid.length / 12.0))
-        center = _require_finite("center", opts.get("center", float, grid.length / 2.0))
-        level = _require_finite("level", opts.get("level", float, amplitude / 2.0))
+        amplitude = opts.get("amplitude")
+        width = opts.get("width", computed=grid.length / 12.0)
+        center = opts.get("center", computed=grid.length / 2.0)
+        level = opts.get("level", computed=amplitude / 2.0)
         echo = {"init": init, "amplitude": amplitude, "width": width,
                 "center": center, "level": level}
         return sim.inject_gaussian(grid, amplitude, width, center), None, level, echo
     if init == "mode":
-        p = opts.get("mode_p", int, 1)
-        amplitude = _require_finite("amplitude", opts.get("amplitude", float, 1.0))
-        level = _require_finite("level", opts.get("level", float))
+        p = opts.get("mode_p")
+        amplitude = opts.get("amplitude")
+        level = opts.get("level")
         echo = {"init": init, "mode_p": p, "amplitude": amplitude, "level": level}
         return sim.inject_mode(grid, p, amplitude), None, level, echo
-    if init == "random":
-        seed = opts.get("seed", int, 0)
-        if seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {seed!r}")
-        amplitude = _require_finite("amplitude", opts.get("amplitude", float, 1.0))
-        level = _require_finite("level", opts.get("level", float))
-        echo = {"init": init, "seed": seed, "amplitude": amplitude, "level": level}
-        return sim.inject_random(grid, seed, amplitude), None, level, echo
-    raise ConfigError(f"unknown init {init!r}")
+    seed = opts.get("seed")  # init is random, the last of the choices
+    amplitude = opts.get("amplitude")
+    level = opts.get("level")
+    echo = {"init": init, "seed": seed, "amplitude": amplitude, "level": level}
+    return sim.inject_random(grid, seed, amplitude), None, level, echo
 
 
-def _dominant_mode_speed(state, coeffs, params, grid) -> float | None:
+def _dominant_mode_speed(state, coeffs, params, grid) -> float:
     """Phase speed (x units per time) at the strongest nonzero Fourier mode."""
     spectrum = np.abs(np.fft.fft(state.values))
-    half = grid.N // 2
-    if half < 1:
-        return None
+    half = grid.N // 2  # at least 2, since N >= 4
     p_star = 1 + int(np.argmax(spectrum[1 : half + 1]))
     zeta = 2.0 * math.pi * p_star / grid.N
     g = discrete_symbol(coeffs, params, zeta)
@@ -585,12 +604,9 @@ def _run_measurements(history, grid, predicted, level, sol) -> dict:
 
 def cmd_simulate(args) -> int:
     opts = _Options(args)
-    m = _resolve_half_width(opts)
-    params, echo = _resolve_params(opts, default_sigma=0.1)
-    N = opts.get("N", int, 256)
-    steps = opts.get("steps", int, 200)
-    snap_every = opts.get("snap_every", int, 10)
-    _require_run_length(steps, snap_every)
+    m = opts.get("m")
+    params = _resolve_params(opts)
+    N, steps, snap_every = (opts.get(name) for name in ("N", "steps", "snap_every"))
     coeffs = optimize_coefficients(m)
     grid = _make_grid(N, params.h, coeffs)
     initial, sol, level, init_echo = _build_initial(opts, grid, params, coeffs)
@@ -612,7 +628,7 @@ def cmd_simulate(args) -> int:
     payload = {
         **_run_measurements(history, grid, predicted, level, sol),
         "config": {
-            **echo,
+            **dataclasses.asdict(params),
             **init_echo,
             "m": m,
             "N": N,
@@ -624,7 +640,7 @@ def cmd_simulate(args) -> int:
     }
     # serialized first, so a non-finite result writes no snapshot either
     text = _json_text(payload)
-    base = _out_dir(opts.get("outdir", str, "."))
+    base = _out_dir(opts.get("outdir"))
     rows = _row_prefixes(grid)
     for snap in history:
         _write_text(base / f"snapshot_{snap.step_count:06d}.csv", _snapshot_csv(snap, grid, rows))
@@ -642,21 +658,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     opts = _Options(args)
-    m = _resolve_half_width(opts)
-    params, echo = _resolve_params(opts, default_sigma=1.0)
-    C = _require_finite("C", opts.get("C", float, 1.0))
-    C1 = opts.get("C1", float, 1.0)
-    V0 = _require_finite("V0", opts.get("V0", float, 0.0))
-    _require_inverse_width(C1)
-    samples = _resolve_samples(opts)
+    m = opts.get("m")
+    params = _resolve_params(opts)
+    C, C1, V0, samples = (opts.get(name) for name in ("C", "C1", "V0", "samples"))
+    echo = dataclasses.asdict(params)
     coeffs = optimize_coefficients(m)
 
     rows = dispersion_samples(coeffs, samples)
     errors = np.array([r.error for r in rows])
     band_edge = effective_wavenumber(coeffs, math.pi / 2.0)
 
-    dimensional = taylor_expand_scheme(coeffs, params, 2, 1)
-    nondim = nondimensionalize(dimensional, params)
+    dimensional, nondim = _tables(coeffs, params)
 
     soliton = _soliton_payload(
         params, echo, coeffs, C, C1, V0, verify=True, xi_max=10.0, xi_samples=41
@@ -672,12 +684,10 @@ def cmd_report(args) -> int:
 
     simulation = None
     if not args.no_sim:
-        # a small kink run at a milder default CFL number
-        sim_params, _ = _resolve_params(opts, default_sigma=0.1)
-        N = opts.get("N", int, 128)
-        steps = opts.get("steps", int, 100)
-        snap_every = opts.get("snap_every", int, 10)
-        _require_run_length(steps, snap_every)
+        # a small kink run, at sigma = 0.1 unless --sigma or --tau is given, and C1 = 0.25
+        opts.defaults = {**opts.defaults, "sigma": 0.1}
+        sim_params = _resolve_params(opts)
+        N, steps, snap_every = (opts.get(name) for name in ("N", "steps", "snap_every"))
         grid = _make_grid(N, sim_params.h, coeffs)
         kink = wave.closed_form_kink(sim_params, coeffs, C=C, C1=0.25, V0=V0)
         initial = _inject_kink(grid, kink)
@@ -716,22 +726,52 @@ def cmd_report(args) -> int:
 # ------------------------------------------------------------------ main
 
 
-def _add_common(sub, *names):
-    if "config" in names:
-        sub.add_argument("--config", help="INI config file with a [drpkit] section")
-    if "m" in names:
-        sub.add_argument("--m", type=int, help="stencil half-width")
-    if "params" in names:
-        sub.add_argument("--sigma", type=float, help="CFL number sigma = c tau / h")
-        sub.add_argument("--tau", type=float, help="time step")
-        sub.add_argument("--h", type=float, help="mesh size (default 1)")
-        sub.add_argument("--c", type=float, help="advection constant (default 1)")
-        sub.add_argument("--mu", type=float, help="viscosity (default 1)")
-        sub.add_argument("--re-h", dest="re_h", type=float, help="mesh Reynolds number (default 1)")
-    if "kink" in names:
-        sub.add_argument("--C", type=float, help="integration constant (default 1)")
-        sub.add_argument("--C1", type=float, help="inverse kink width (default 1)")
-        sub.add_argument("--V0", type=float, help="kink offset (default 0)")
+class _Command(NamedTuple):
+    func: Callable[[argparse.Namespace], int]
+    help: str
+    defaults: dict[str, Any]  # each option the command reads; None if unset or computed
+    flags: dict[str, str]  # the flag-only options and their help
+
+
+_PARAMS = {"sigma": 1.0, "tau": None, "h": 1.0, "c": 1.0, "mu": 1.0, "re_h": 1.0}
+_KINK = {"C": 1.0, "C1": 1.0, "V0": 0.0}
+_SWITCHES = ("verify", "oracle", "no_sim")
+
+_COMMANDS = {
+    "coeffs": _Command(
+        cmd_coeffs, "optimal stencil weights and their integrated error",
+        {"m": 1}, {"json": "write {m, gamma, E} JSON here"},
+    ),
+    "dispersion": _Command(
+        cmd_dispersion, "CSV of (zeta, lambda_bar_h, error) over the band",
+        {"m": 1, "samples": 101}, {"csv": "output CSV path (default stdout)"},
+    ),
+    "modified": _Command(
+        cmd_modified, "modified-equation tables, dimensional and nondimensional",
+        {"m": 1, **_PARAMS, "p": 2, "q": 1}, {"json": "write both tables as JSON here"},
+    ),
+    "soliton": _Command(
+        cmd_soliton, "closed-form kink and its residual diagnostics",
+        {"m": 1, **_PARAMS, **_KINK, "xi_max": 10.0, "xi_samples": 41},
+        {"verify": "emit both system-residual blocks", "json": "write the JSON record here"},
+    ),
+    "simulate": _Command(
+        cmd_simulate, "run the scheme, write snapshots and measurements",
+        {"m": 1, **_PARAMS, "sigma": 0.1, **_KINK, "C1": 0.25, "N": 256, "steps": 200,
+         "snap_every": 10, "init": "kink", "amplitude": 1.0, "width": None, "center": None,
+         "value": 1.0, "mode_p": 1, "seed": 0, "level": None, "outdir": "."},
+        {"oracle": "use the spectral oracle instead of stepping"},
+    ),
+    "report": _Command(
+        cmd_report, "single JSON bundling the whole pipeline",
+        {"m": 1, **_PARAMS, **_KINK, "samples": 101, "N": 128, "steps": 100, "snap_every": 10},
+        {"no_sim": "skip the simulation block", "json": "output path (default report.json)"},
+    ),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -756,71 +796,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"drpkit {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("coeffs", help="optimal stencil weights and their integrated error")
-    _add_common(p, "config", "m")
-    p.add_argument("--json", help="write {m, gamma, E} JSON here")
-    p.set_defaults(func=cmd_coeffs)
-
-    p = subs.add_parser("dispersion", help="CSV of (zeta, lambda_bar_h, error) over the band")
-    _add_common(p, "config", "m")
-    p.add_argument("--samples", type=int, help="number of zeta samples (default 101)")
-    p.add_argument("--csv", help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_dispersion)
-
-    p = subs.add_parser("modified", help="modified-equation tables, dimensional and nondimensional")
-    _add_common(p, "config", "m", "params")
-    p.add_argument("--p", type=int, help="time truncation order (default 2)")
-    p.add_argument("--q", type=int, help="space truncation order (default 1)")
-    p.add_argument("--json", help="write both tables as JSON here")
-    p.set_defaults(func=cmd_modified)
-
-    p = subs.add_parser("soliton", help="closed-form kink and its residual diagnostics")
-    _add_common(p, "config", "m", "params", "kink")
-    p.add_argument("--verify", action="store_true", help="emit both system-residual blocks")
-    p.add_argument("--xi-max", dest="xi_max", type=float, default=10.0)
-    p.add_argument("--xi-samples", dest="xi_samples", type=int, default=41)
-    p.add_argument("--json", help="write the JSON record here")
-    p.set_defaults(func=cmd_soliton)
-
-    p = subs.add_parser("simulate", help="run the scheme, write snapshots and measurements")
-    _add_common(p, "config", "m", "params", "kink")
-    p.add_argument("--N", type=int, help="grid nodes (default 256)")
-    p.add_argument("--steps", type=int, help="time steps (default 200)")
-    p.add_argument("--snap-every", dest="snap_every", type=int, help="snapshot stride (default 10)")
-    p.add_argument("--init", choices=["kink", "gaussian", "constant", "mode", "random"],
-                   help="initial condition (default kink)")
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--width", type=float)
-    p.add_argument("--center", type=float)
-    p.add_argument("--value", type=float, help="constant-init value")
-    p.add_argument("--mode-p", dest="mode_p", type=int, help="mode number for --init mode")
-    p.add_argument("--seed", type=int, help="RNG seed for --init random")
-    p.add_argument("--level", type=float, help="tracking level for speed measurement")
-    p.add_argument("--oracle", action="store_true", help="use the spectral oracle instead of stepping")
-    p.add_argument("--outdir", help="output directory (default .)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs.add_parser("report", help="single JSON bundling the whole pipeline")
-    _add_common(p, "config", "m", "params", "kink")
-    p.add_argument("--samples", type=int, help="dispersion samples (default 101)")
-    p.add_argument("--N", type=int, help="simulation grid nodes (default 128)")
-    p.add_argument("--steps", type=int, help="simulation steps (default 100)")
-    p.add_argument("--snap-every", dest="snap_every", type=int)
-    p.add_argument("--no-sim", action="store_true", help="skip the simulation block")
-    p.add_argument("--json", help="output path (default report.json)")
-    p.set_defaults(func=cmd_report)
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        sub.add_argument("--config", help=f"INI config file with a [{_CONFIG_SECTION}] section")
+        # no argparse default: an option not given falls through to the file
+        for option, default in command.defaults.items():
+            kind, text, _ = _OPTIONS[option]
+            choices = kind if isinstance(kind, tuple) else None
+            sub.add_argument(
+                _flag(option), type=None if choices else kind, choices=choices,
+                help=text if default is None else f"{text} (default {default})",
+            )
+        for flag, text in command.flags.items():
+            sub.add_argument(
+                _flag(flag), action="store_true" if flag in _SWITCHES else "store", help=text
+            )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return args.func(args)
+            return _COMMANDS[args.command].func(args)
         except (ConfigError, ZeroDivisionError) as exc:
             # a vanishing denominator, which the raising check names with its inputs
             print(f"drpkit: configuration error: {exc}", file=sys.stderr)

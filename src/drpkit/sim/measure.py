@@ -35,7 +35,8 @@ def measure_speed(history: list[FieldState], level: float) -> float:
     image to the previous position; the steepest one seeds the track),
     unwrapped, and fit against time by least squares.  The mirrored front
     of a kink crosses the level falling, so it is excluded by construction.
-    Raises LostFrontError when a snapshot has no rising crossing.
+    Raises LostFrontError when a snapshot has no rising crossing, and
+    ValueError when the snapshot times are too small to fit.
     """
     if len(history) < 2:
         raise ValueError("need at least two snapshots to fit a speed")
@@ -63,7 +64,13 @@ def measure_speed(history: list[FieldState], level: float) -> float:
         previous = pos
         times.append(snap.t)
         positions.append(pos)
-    slope, _ = np.polyfit(np.asarray(times), np.asarray(positions), 1)
+    # polyfit divides by the norm of the times, which underflows to zero when
+    # the time step is tiny (tau = 1e-301), and LAPACK then prints to stderr
+    with np.errstate(divide="raise", invalid="raise"):
+        try:
+            slope, _ = np.polyfit(np.asarray(times), np.asarray(positions), 1)
+        except FloatingPointError:
+            raise ValueError(f"snapshot times up to {times[-1]!r} are too small to fit") from None
     return float(slope)
 
 

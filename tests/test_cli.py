@@ -216,6 +216,10 @@ class TestReport:
         jsonschema.validate(payload, load_schema("report.schema.json"))
 
 
+COEFFS = ("coeffs", "--json", "c.json")
+SIMULATE = ("simulate", "--N", "64", "--steps", "10")
+
+
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -227,6 +231,65 @@ class TestConfigFile:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run_cli(["coeffs", "--config", "nope.ini"], tmp_path) == 2
+
+    def test_keys_keep_their_case(self, tmp_path):
+        # C is the kink's integration constant, c the advection constant
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[drpkit]\nN = 64\nC = 2.0\nC1 = 0.5\nV0 = 0.3\n")
+        code = run_cli(["simulate", "--config", str(cfg), "--steps", "10", "--snap-every", "10",
+                        "--outdir", "out"], tmp_path)
+        assert code == 0
+        config = json.loads((tmp_path / "out" / "measurements.json").read_text())["config"]
+        assert (config["N"], config["C"], config["C1"], config["V0"]) == (64, 2.0, 0.5, 0.3)
+        assert config["c"] == 1.0
+
+    def test_every_value_option_reads_from_the_file(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[drpkit]\nxi_max = 2\nxi_samples = 3\n")
+        run_cli(["soliton", "--config", str(cfg), "--verify", "--json", "s.json"], tmp_path)
+        payload = json.loads((tmp_path / "s.json").read_text())
+        assert payload["ode_residual"]["xi"] == [-2.0, 0.0, 2.0]
+
+    def test_flag_beats_file(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[drpkit]\nC1 = 0.5\nxi_samples = 3\n")
+        run_cli(["soliton", "--config", str(cfg), "--C1", "0.7", "--xi-samples", "5",
+                 "--verify", "--json", "s.json"], tmp_path)
+        payload = json.loads((tmp_path / "s.json").read_text())
+        assert payload["config"]["C1"] == 0.7
+        assert len(payload["ode_residual"]["xi"]) == 5
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (COEFFS, "[drpkit]\nsigam = 0.5\n", "no option is named 'sigam'"),
+            (SIMULATE, "[drpkit]\nsigam = 0.5\n", "no option is named 'sigam'"),
+            (COEFFS, "[drpkit]\njson = c.json\n", "no option is named 'json'"),
+            (COEFFS, "m = 2\n", "File contains no section headers."),
+            (COEFFS, "[drpkit]\nm = 2\nm = 3\n", "option 'm' in section 'drpkit' already exists"),
+            (COEFFS, "[drpkit]\nm = 2.5\n", "config key 'm': cannot parse '2.5'"),
+            (SIMULATE, "[drpkit]\ninit = wave\n", "config key 'init': 'wave' is not one of kink,"),
+        ],
+    )
+    def test_bad_file_exit_2_and_writes_nothing(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        assert run_cli([*command, "--config", str(cfg)], tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], err
+        assert [path.name for path in tmp_path.iterdir()] == ["run.ini"]
+
+    @pytest.mark.parametrize(
+        "command, shown",
+        [("simulate", "--C1 C1 inverse kink width (default 0.25)"),
+         ("report", "--N N grid nodes (default 128)"),
+         ("soliton", "--C1 C1 inverse kink width (default 1.0)")],
+    )
+    def test_help_shows_the_command_defaults(self, capsys, command, shown):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        assert shown in " ".join(capsys.readouterr().out.split())
 
     def test_inconsistent_dynamics_exit_2(self, tmp_path):
         code = run_cli(
@@ -420,6 +483,17 @@ class TestFailureContract:
              "configuration error: N must be at most 16777216, got 100000000000000"),
             (["report", "--samples", "1", "--no-sim"], 2,
              "configuration error: samples must be at least 2, got 1"),
+            (["report", "--sigma", "5e-324", "--no-sim"], 2,
+             "configuration error: zero coefficient stored for signature (2, 0)"),
+            (["report", "--tau", "5e-324", "--no-sim"], 2,
+             "configuration error: zero coefficient stored for signature (2, 0)"),
+            (["modified", "--sigma", "5e-324", "--c", "5e-324"], 2,
+             "configuration error: zero coefficient stored for signature (2, 0)"),
+            (["soliton", "--c", "1.7976931348623157e308", "--verify"], 3,
+             "nondimensional u_x coefficient is inf"),
+            (["report", "--c", "1.7976931348623157e308", "--no-sim"], 3,
+             "nondimensional u_x coefficient is inf"),
+            (["simulate", "--c", "1e300", "--N", "64", "--steps", "20"], 0, None),
         ],
     )
     def test_exit_code_and_one_line_per_message(self, tmp_path, child_env, command, code, message):
@@ -480,6 +554,11 @@ class TestFailureContract:
             ["soliton", "--xi-samples", "100000000000000", "--verify"],
             ["simulate", "--N", "100000000000000", "--steps", "10"],
             ["report", "--samples", "1", "--no-sim"],
+            ["report", "--sigma", "5e-324", "--no-sim"],
+            ["report", "--tau", "5e-324", "--no-sim"],
+            ["modified", "--sigma", "5e-324", "--c", "5e-324"],
+            ["soliton", "--c", "1.7976931348623157e308", "--verify"],
+            ["report", "--c", "1.7976931348623157e308", "--no-sim"],
         ],
     )
     def test_failure_prints_and_writes_nothing(self, tmp_path, child_env, command):
