@@ -14,8 +14,14 @@ interpreter with its ``src`` first on PYTHONPATH.  Prints both digests
 with the solve, unresolved and exception counts, and exits 1 when the
 digests differ.
 
+Both interpreters run this copy of the script.  When the library calls it
+makes (the table is ``nondimensionalize(coeffs, params)`` here) do not
+exist in the other tree, run each tree's own copy on that tree and compare
+the digests they print.
+
 Usage:
   python benchmarks/solver_sweep.py OLD_TREE NEW_TREE
+  python OLD_TREE/benchmarks/solver_sweep.py OLD_TREE OLD_TREE   # own copy
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ _CONFIGS = 12
 def _systems(rng):
     """One seeded configuration's derived and condensed systems."""
     from drpkit import wave
-    from drpkit.modeq import SchemeParams, nondimensionalize, taylor_expand_scheme
+    from drpkit.modeq import SchemeParams, nondimensionalize
     from drpkit.stencil import optimize_coefficients
 
     params = SchemeParams.from_cfl(
@@ -48,7 +54,7 @@ def _systems(rng):
     C1 = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.0))
     C = float(rng.uniform(-2.0, 2.0))
     sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1)
-    table = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+    table = nondimensionalize(coeffs, params)
     ode = wave.reduce_to_ode(table, params, v=sol.v, C=C)
     ansatz = wave.HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=0.0, C1=C1, v=sol.v)
     derived = wave.collect_system(wave.substitute_ansatz(ode, ansatz))

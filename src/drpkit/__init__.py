@@ -30,6 +30,7 @@ from .errors import (
 from .modeq import (
     DifferentialApproximation,
     SchemeParams,
+    advection_coefficient,
     discrete_symbol,
     nondimensionalize,
     taylor_expand_scheme,
@@ -59,6 +60,7 @@ __all__ = [
     "TruncationMismatchError",
     "DifferentialApproximation",
     "SchemeParams",
+    "advection_coefficient",
     "discrete_symbol",
     "nondimensionalize",
     "taylor_expand_scheme",

@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__, sim, wave
 from .errors import (
     BlowUpError,
+    CoefficientUnderflowError,
     ConfigError,
     DrpkitError,
     LostFrontError,
@@ -57,12 +58,13 @@ from .stencil import (
 )
 
 _CONFIG_SECTION = "drpkit"
-# the options that set each quantity whose power overflows for some input
+# the options that set each quantity whose power overflows or coefficient underflows
 _SET_BY = {
     "tau": "tau = sigma h / c, set by --sigma or --tau, --h and --c",
     "h": "set by --h",
     "v": "v is the kink speed, set by --sigma or --tau, --mu and --re-h",
 }
+_SET_BY["sigma"] = _SET_BY["tau"]  # sigma = c tau / h, set by the same options
 _OUTPUT_DIR_ENV = "DRPKIT_OUTPUT_DIR"
 # the largest count of samples, grid nodes or steps a command accepts: 2**24
 # float64 values take 128 MiB per array, and a larger count is a typo, not a
@@ -265,30 +267,15 @@ def _make_grid(N: int, h: float, coeffs) -> sim.Grid1D:
 
 
 def _resolve_params(opts: _Options) -> SchemeParams:
-    """Build SchemeParams from (sigma | tau) with h, c, mu, re_h.
+    """SchemeParams from (sigma | tau) with h, c, mu, re_h.
 
-    Either of sigma and tau follows from the other through sigma = c tau / h,
-    the command's default sigma applies when neither is given, and when both
-    are given they must agree.
+    The command's default sigma applies when neither sigma nor tau is given;
+    ``SchemeParams.from_cfl`` derives the rest.
     """
     h, c, mu, re_h = (opts.get(name) for name in ("h", "c", "mu", "re_h"))
     sigma = opts.get("sigma") if opts.supplied("sigma") or not opts.supplied("tau") else None
-    tau = opts.get("tau")
-    if tau is None:
-        tau = sigma * h / c
-    elif sigma is None:
-        sigma = c * tau / h
-    elif not math.isclose(sigma, c * tau / h, rel_tol=1e-12):
-        raise ConfigError(f"inconsistent dynamics: sigma={sigma!r} but c*tau/h={c * tau / h!r}")
-    U0 = re_h * mu / h
-    if U0 == 0.0:
-        raise ConfigError(
-            f"U0 = re_h mu / h underflows to zero at re_h = {re_h!r}, mu = {mu!r}, h = {h!r}"
-        )
     try:
-        return SchemeParams(
-            c=c, mu=mu, tau=tau, h=h, sigma=sigma, U0=U0, tau0=h / U0, h0=h, re_h=re_h
-        )
+        return SchemeParams.from_cfl(sigma, mu, re_h, h=h, c=c, tau=opts.get("tau"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -299,10 +286,9 @@ def _tables(coeffs, params: SchemeParams, p: int = 2, q: int = 1):
     A bad order, or a coefficient that underflows to zero, is bad input.
     """
     try:
-        dimensional = taylor_expand_scheme(coeffs, params, p, q)
-        # the nondimensional form is defined for the reference truncation only
-        reference = dimensional if (p, q) == (2, 1) else taylor_expand_scheme(coeffs, params, 2, 1)
-        return dimensional, nondimensionalize(reference, params)
+        return taylor_expand_scheme(coeffs, params, p, q), nondimensionalize(coeffs, params)
+    except CoefficientUnderflowError as exc:
+        raise ConfigError(f"{exc} ({_SET_BY[exc.quantity]})") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -317,22 +303,17 @@ def _table_json(da: DifferentialApproximation) -> dict:
     }
 
 
-def _term_name(s: int, r: int) -> str:
-    return "u" + "_t" * s + "_x" * r
-
-
 def _require_finite_table(label: str, da: DifferentialApproximation):
     for (s, r), value in sorted(da.terms.items()):
         if not math.isfinite(value):
-            raise NonFiniteResultError(
-                f"{label} {_term_name(s, r)} coefficient is {value!r}; nothing printed"
-            )
+            name = DifferentialApproximation.term_name(s, r)
+            raise NonFiniteResultError(f"{label} {name} coefficient is {value!r}; nothing printed")
 
 
 def _print_table(label: str, da: DifferentialApproximation):
     print(f"{label} (p={da.truncation[0]}, q={da.truncation[1]}):")
     for (s, r) in sorted(da.terms):
-        print(f"  {_term_name(s, r):<10s} {_fmt(da.terms[(s, r)])}")
+        print(f"  {DifferentialApproximation.term_name(s, r):<10s} {_fmt(da.terms[(s, r)])}")
 
 
 # ----------------------------------------------------------------- coeffs
@@ -417,8 +398,6 @@ def _soliton_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples
         "config": {**echo, "m": coeffs.m, "C": C, "C1": C1, "V0": V0},
     }
     if verify:
-        # an overflowed table gives the case solver non-finite coefficients
-        _require_finite_table("nondimensional", nondim)
         report = wave.verify_condensed_system(params, coeffs, C=C, C1=sol.C1, V0=sol.V0)
         ansatz = wave.HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=sol.V0, C1=sol.C1, v=sol.v)
         derived = wave.collect_system(wave.substitute_ansatz(ode, ansatz))

@@ -61,3 +61,11 @@ class PowerOverflowError(DrpkitError, OverflowError):
     def __init__(self, quantity: str, value: float, exponent: int):
         super().__init__(f"{quantity}**{exponent} overflows a float at {quantity} = {value!r}")
         self.quantity = quantity
+
+
+class CoefficientUnderflowError(DrpkitError, ValueError):
+    """A table coefficient underflows to zero; carries the quantity that scales it."""
+
+    def __init__(self, term: str, quantity: str, value: float):
+        super().__init__(f"the {term} coefficient underflows to zero at {quantity} = {value!r}")
+        self.quantity = quantity

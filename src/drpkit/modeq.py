@@ -9,18 +9,21 @@ signatures (s, r) = (time order, space order):
     + (tau/h) * sum_{r=1}^{q} h^r/r! * (sum_k k^r gamma_k) * u_{x^r} = 0.
 
 The space terms keep the extra tau factor of the update; the table is kept
-literally in that form and only the final nondimensional rescaling removes
-it.  Even-order space terms vanish identically for antisymmetric weights
-and are never stored.
+literally in that form.  Even-order space terms vanish identically for
+antisymmetric weights and are never stored.
 
-``nondimensionalize`` rescales the p=2, q=1 truncation with reference
-scales (U0 = h0/tau0, taken at h = h0) into the table
+Each quantity derived from the scheme parameters is computed here, once:
+``SchemeParams.from_cfl`` derives tau or sigma and the reference scales
+(U0 = h0/tau0, h0 = h), and ``advection_coefficient`` the u_x coefficient A
+of the p=2, q=1 table that ``nondimensionalize`` builds from the weights
+and the parameters:
 
-    { u_t: -1,  u_tt: -sigma/2,  u_x: (2 sigma / (mu Re_h)) sum_{k>=1} k gamma_k }
+    { u_t: -1,  u_tt: -sigma/2,  u_x: A = (2 sigma / (mu Re_h)) sum_{k>=1} k gamma_k }
 
 where sigma is the CFL number and Re_h = U0 h / mu the mesh Reynolds
-number.  ``discrete_symbol`` gives the per-step amplification factor of a
-Fourier mode, the bridge between the discrete scheme and the table.
+number.  A is also the closed-form kink's speed.  ``discrete_symbol`` gives
+the per-step amplification factor of a Fourier mode, the bridge between
+the discrete scheme and the table.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PowerOverflowError, TruncationMismatchError
+from .errors import CoefficientUnderflowError, PowerOverflowError, TruncationMismatchError
 from .stencil import StencilCoefficients, effective_wavenumber
 
 _REL_TOL = 1e-14
@@ -80,17 +83,41 @@ class SchemeParams:
             )
 
     @classmethod
-    def from_cfl(cls, sigma: float, mu: float, re_h: float, h: float = 1.0, c: float = 1.0):
-        """Build a consistent parameter set from (sigma, mu, Re_h) with h0 = h.
+    def from_cfl(cls, sigma: float | None, mu: float, re_h: float, h: float = 1.0, c: float = 1.0,
+                 tau: float | None = None):
+        """Build a consistent parameter set from (sigma or tau, mu, Re_h) with h0 = h.
 
-        tau follows from the CFL relation and the reference scales from the
-        mesh Reynolds number, so all invariants hold by construction.
+        tau follows from sigma = c tau / h, or sigma from a given tau (kept as
+        given; a given pair must agree to 1e-12), and the reference scales
+        from the mesh Reynolds number.  ValueError names the inputs when
+        U0 = re_h mu / h or tau0 = h / U0 underflows.
         """
-        tau = sigma * h / c
-        h0 = h
+        if tau is None:
+            tau = sigma * h / c
+        elif sigma is None:
+            sigma = c * tau / h
+        elif not math.isclose(sigma, c * tau / h, rel_tol=1e-12):
+            # the invariant's absolute floor would let any pair below 1e-300 through
+            raise ValueError(f"inconsistent dynamics: sigma={sigma!r} but c*tau/h={c * tau / h!r}")
         U0 = re_h * mu / h
-        tau0 = h0 / U0
-        return cls(c=c, mu=mu, tau=tau, h=h, sigma=sigma, U0=U0, tau0=tau0, h0=h0, re_h=re_h)
+        if U0 == 0.0:
+            raise ValueError(
+                f"U0 = re_h mu / h underflows to zero at re_h = {re_h!r}, mu = {mu!r}, h = {h!r}"
+            )
+        tau0 = h / U0
+        if tau0 == 0.0:
+            raise ValueError(f"tau0 = h / U0 underflows to zero at h = {h!r}, U0 = {U0!r}")
+        return cls(c=c, mu=mu, tau=tau, h=h, sigma=sigma, U0=U0, tau0=tau0, h0=h, re_h=re_h)
+
+
+def advection_coefficient(params: SchemeParams, coeffs: StencilCoefficients) -> float:
+    """u_x coefficient A of the nondimensional modified equation.
+
+    A = (2 sigma / (mu Re_h)) * sum_{k=1}^m k gamma_k; also the speed of the
+    closed-form kink.
+    """
+    half_moment = coeffs.index_moment(1) / 2.0
+    return 2.0 * params.sigma / (params.mu * params.re_h) * half_moment
 
 
 @dataclass(frozen=True)
@@ -113,6 +140,11 @@ class DifferentialApproximation:
 
     def coefficient(self, t_order: int, x_order: int) -> float:
         return self.terms.get((t_order, x_order), 0.0)
+
+    @staticmethod
+    def term_name(t_order: int, x_order: int) -> str:
+        """The derivative's name, ``u_t_t`` for (2, 0)."""
+        return "u" + "_t" * t_order + "_x" * x_order
 
 
 def _power(name: str, base: float, exponent: int) -> float:
@@ -139,6 +171,9 @@ def taylor_expand_scheme(
     terms: dict[tuple[int, int], float] = {}
     for s in range(1, p + 1):
         terms[(s, 0)] = -_power("tau", params.tau, s - 1) / math.factorial(s)
+        if terms[(s, 0)] == 0.0:
+            name = DifferentialApproximation.term_name(s, 0)
+            raise CoefficientUnderflowError(name, "tau", params.tau)
     for r in range(1, q + 1):
         moment = coeffs.index_moment(r)
         if moment == 0.0:
@@ -150,7 +185,8 @@ def taylor_expand_scheme(
     return DifferentialApproximation(terms=terms, truncation=(p, q))
 
 
-def _require_paper_truncation(da: DifferentialApproximation, where: str):
+def require_reference_truncation(da: DifferentialApproximation, where: str):
+    """TruncationMismatchError unless ``da`` holds only the (p=2, q=1) signatures."""
     extra = set(da.terms) - REFERENCE_TRUNCATION_SIGNATURES
     if extra:
         raise TruncationMismatchError(
@@ -160,31 +196,22 @@ def _require_paper_truncation(da: DifferentialApproximation, where: str):
 
 
 def nondimensionalize(
-    da: DifferentialApproximation, params: SchemeParams
+    coeffs: StencilCoefficients, params: SchemeParams
 ) -> DifferentialApproximation:
-    """Rescale the (p=2, q=1) table to reference units, taken at h = h0.
+    """The (p=2, q=1) table in reference units, taken at h = h0.
 
-    The result is { (1,0): -1, (2,0): -sigma/2, (0,1): sigma/(tau mu Re_h)
-    times the dimensional u_x coefficient }, which equals
-    (2 sigma / (mu Re_h)) * sum_{k>=1} k gamma_k for a table produced by
-    ``taylor_expand_scheme``.  Raises ZeroDivisionError, naming the
-    product, when tau mu Re_h underflows to zero.
+    { (1,0): -1, (2,0): -sigma/2, (0,1): A }, with A from
+    ``advection_coefficient``; u_x is absent where A is zero.  Raises
+    CoefficientUnderflowError when -sigma/2 underflows to zero.
     """
-    _require_paper_truncation(da, "nondimensionalize")
     if not math.isclose(params.h, params.h0, rel_tol=1e-12):
         raise ValueError(f"nondimensionalization assumes h = h0, got h={params.h}, h0={params.h0}")
     terms: dict[tuple[int, int], float] = {(1, 0): -1.0, (2, 0): -params.sigma / 2.0}
-    if (0, 1) in da.terms:
-        denominator = params.tau * params.mu * params.re_h
-        if denominator == 0.0:
-            raise ZeroDivisionError(
-                f"the scale denominator tau mu Re_h underflows to zero at tau = {params.tau!r}, "
-                f"mu = {params.mu!r}, re_h = {params.re_h!r}"
-            )
-        scale = params.sigma / denominator
-        value = da.terms[(0, 1)] * scale
-        if value != 0.0:
-            terms[(0, 1)] = value
+    if terms[(2, 0)] == 0.0:
+        raise CoefficientUnderflowError("nondimensional u_t_t", "sigma", params.sigma)
+    A = advection_coefficient(params, coeffs)
+    if A != 0.0:
+        terms[(0, 1)] = A
     return DifferentialApproximation(terms=terms, truncation=(2, 1))
 
 

@@ -1,6 +1,6 @@
 """Traveling-wave reduction, exponential-polynomial algebra and its solver."""
 
-from .ansatz import HyperbolicAnsatz, KinkSolution, advection_coefficient, closed_form_kink
+from .ansatz import HyperbolicAnsatz, KinkSolution, closed_form_kink
 from .expansion import (
     CoefficientSystem,
     CondensedSystemReport,
@@ -18,7 +18,6 @@ from .solver import SolutionBranch, describe_solution_set, solve_system
 __all__ = [
     "HyperbolicAnsatz",
     "KinkSolution",
-    "advection_coefficient",
     "closed_form_kink",
     "CoefficientSystem",
     "CondensedSystemReport",

@@ -1,4 +1,7 @@
-"""Trial waveforms and the closed-form kink of the nondimensional table."""
+"""Trial waveforms and the closed-form kink of the nondimensional table.
+
+The kink's speed is the table's u_x coefficient, ``modeq.advection_coefficient``.
+"""
 
 from __future__ import annotations
 
@@ -7,18 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..modeq import SchemeParams
+from ..modeq import SchemeParams, advection_coefficient
 from ..stencil import StencilCoefficients
-
-
-def advection_coefficient(params: SchemeParams, coeffs: StencilCoefficients) -> float:
-    """u_x coefficient of the nondimensional modified equation.
-
-    A = (2 sigma / (mu Re_h)) * sum_{k=1}^m k gamma_k; also the speed of the
-    closed-form kink.
-    """
-    half_moment = coeffs.index_moment(1) / 2.0
-    return 2.0 * params.sigma / (params.mu * params.re_h) * half_moment
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..modeq import SchemeParams
+from ..modeq import SchemeParams, advection_coefficient
 from ..stencil import StencilCoefficients
-from .ansatz import HyperbolicAnsatz, advection_coefficient, closed_form_kink
+from .ansatz import HyperbolicAnsatz, closed_form_kink
 from .poly import Poly
 from .reduction import TravelingWaveODE
 

@@ -6,7 +6,7 @@ import pytest
 
 import drpkit
 from drpkit import wave
-from drpkit.modeq import SchemeParams, nondimensionalize, taylor_expand_scheme
+from drpkit.modeq import SchemeParams, nondimensionalize
 from drpkit.stencil import optimize_coefficients
 
 
@@ -72,7 +72,7 @@ def system_draws():
         C = float(rng.uniform(-2.0, 2.0))
         fixed = (None, {"C": 0.0}, {"C": float(rng.uniform(-2.0, 2.0))})[m % 3]
         sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1)
-        table = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+        table = nondimensionalize(coeffs, params)
         ode = wave.reduce_to_ode(table, params, v=sol.v, C=C)
         ansatz = wave.HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=0.0, C1=C1, v=sol.v)
         derived = wave.collect_system(wave.substitute_ansatz(ode, ansatz))

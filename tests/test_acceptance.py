@@ -90,7 +90,7 @@ def test_criterion_3_modified_equation():
         )
         m = int(rng.integers(1, 6))
         coeffs = optimize_coefficients(m)
-        table = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+        table = nondimensionalize(coeffs, params)
         half_moment = coeffs.index_moment(1) / 2.0
         want = 2.0 * params.sigma / (params.mu * params.re_h) * half_moment
         assert table.terms[(1, 0)] == -1.0
@@ -125,7 +125,7 @@ def test_criterion_4_ansatz_algebra():
             "v": float(rng.uniform(-2, 2)),
             "C": float(rng.uniform(-2, 2)),
         }
-        table = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+        table = nondimensionalize(coeffs, params)
         ode = wave.reduce_to_ode(table, params, v=vals["v"], C=vals["C"])
         ansatz = wave.HyperbolicAnsatz(
             U1=vals["U1"], V1=vals["V1"], V0=vals["V0"], C1=C1, v=vals["v"]
@@ -173,7 +173,7 @@ def test_criterion_6_residual_audit():
     coeffs = optimize_coefficients(1)
     C = 1.0
     sol = wave.closed_form_kink(unit, coeffs, C=C, C1=1.0)
-    table = nondimensionalize(taylor_expand_scheme(coeffs, unit, 2, 1), unit)
+    table = nondimensionalize(coeffs, unit)
     ode = wave.reduce_to_ode(table, unit, v=sol.v, C=C)
     r0, r5, r10 = wave.residual(ode, sol, [0.0, 5.0, 10.0])
     assert abs(r0 + 3.0 * C / 4.0) <= 1e-10

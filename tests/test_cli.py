@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -13,6 +14,8 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from drpkit.cli import main
+from drpkit.modeq import SchemeParams, advection_coefficient
+from drpkit.stencil import optimize_coefficients
 
 PI = math.pi
 
@@ -134,6 +137,26 @@ class TestSoliton:
 
     def test_zero_c1_rejected(self, tmp_path):
         assert run_cli(["soliton", "--C1", "0"], tmp_path) == 2
+
+    @pytest.mark.parametrize(
+        "options", [["--sigma", "0.1", "--re-h", "3"], ["--h", "0.37", "--sigma", "0.1"]]
+    )
+    def test_one_advection_coefficient_per_record(self, tmp_path, options):
+        # the table's u_x coefficient is the kink speed, so every derived
+        # branch that names v prints the solution's v, and a0 = A - v is
+        # exactly zero, which leaves the ODE residual even in xi
+        assert run_cli(["soliton", *options, "--verify", "--json", "s.json"], tmp_path) == 0
+        payload = json.loads((tmp_path / "s.json").read_text())
+        v = payload["solution"]["v"]
+        for branch in payload["branches"]["derived"]:
+            text = json.dumps(branch)
+            if not re.search(r"\bv\b", text):
+                continue
+            numbers = re.findall(r"\d[\d.]*(?:e[-+]?\d+)?", text)
+            near_v = {n for n in numbers if math.isclose(float(n), v, rel_tol=1e-9)}
+            assert near_v == {repr(v)}, text
+        r = payload["ode_residual"]["r"]
+        assert r == r[::-1]
 
 
 class TestSimulate:
@@ -439,8 +462,9 @@ class TestFailureContract:
              "configuration error: U0 = re_h mu / h underflows to zero"),
             (["simulate", "--mu", "1e-200", "--re-h", "1e-200", "--N", "64", "--steps", "10"], 2,
              "configuration error: U0 = re_h mu / h underflows to zero"),
-            (["modified", "--tau", "1e-320", "--mu", "1e-10"], 2,
-             "configuration error: the scale denominator tau mu Re_h underflows to zero"),
+            (["modified", "--h", "1e-300", "--q", "3"], 2,
+             "configuration error: tau0 = h / U0 underflows to zero at h = 1e-300, "
+             "U0 = 9.999999999999999e+299"),
             (["simulate", "--C", "-inf", "--N", "64", "--steps", "10"], 2,
              "configuration error: C must be finite, got -inf"),
             (["report", "--C", "-inf", "--steps", "10", "--N", "64"], 2,
@@ -484,16 +508,24 @@ class TestFailureContract:
             (["report", "--samples", "1", "--no-sim"], 2,
              "configuration error: samples must be at least 2, got 1"),
             (["report", "--sigma", "5e-324", "--no-sim"], 2,
-             "configuration error: zero coefficient stored for signature (2, 0)"),
+             "configuration error: the u_t_t coefficient underflows to zero at tau = 5e-324 "
+             "(tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
             (["report", "--tau", "5e-324", "--no-sim"], 2,
-             "configuration error: zero coefficient stored for signature (2, 0)"),
+             "configuration error: the u_t_t coefficient underflows to zero at tau = 5e-324 "
+             "(tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
             (["modified", "--sigma", "5e-324", "--c", "5e-324"], 2,
-             "configuration error: zero coefficient stored for signature (2, 0)"),
-            (["soliton", "--c", "1.7976931348623157e308", "--verify"], 3,
+             "configuration error: the nondimensional u_t_t coefficient underflows to zero at "
+             "sigma = 5e-324 (tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
+            (["modified", "--sigma", "1e300", "--mu", "1e-10"], 3,
              "nondimensional u_x coefficient is inf"),
-            (["report", "--c", "1.7976931348623157e308", "--no-sim"], 3,
+            (["modified", "--sigma", "1e300", "--re-h", "1e-10", "--json", "f.json"], 3,
              "nondimensional u_x coefficient is inf"),
             (["simulate", "--c", "1e300", "--N", "64", "--steps", "20"], 0, None),
+            (["modified", "--sigma", "1e-300", "--p", "4", "--q", "5"], 2,
+             "configuration error: the u_t_t_t coefficient underflows to zero at tau = 1e-300 "
+             "(tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
+            (["modified", "--sigma", "1e-300", "--tau", "2e-300"], 2,
+             "configuration error: inconsistent dynamics: sigma=1e-300 but c*tau/h=2e-300"),
         ],
     )
     def test_exit_code_and_one_line_per_message(self, tmp_path, child_env, command, code, message):
@@ -531,7 +563,7 @@ class TestFailureContract:
             ["coeffs", "--m", "x"],
             ["modified", "--mu", "1e-200", "--re-h", "1e-200"],
             ["simulate", "--mu", "1e-200", "--re-h", "1e-200", "--N", "64", "--steps", "10"],
-            ["modified", "--tau", "1e-320", "--mu", "1e-10"],
+            ["modified", "--h", "1e-300", "--q", "3"],
             ["simulate", "--C", "-inf", "--N", "64", "--steps", "10"],
             ["report", "--C", "-inf", "--steps", "10", "--N", "64"],
             ["soliton", "--xi-max", "inf", "--verify"],
@@ -557,8 +589,10 @@ class TestFailureContract:
             ["report", "--sigma", "5e-324", "--no-sim"],
             ["report", "--tau", "5e-324", "--no-sim"],
             ["modified", "--sigma", "5e-324", "--c", "5e-324"],
-            ["soliton", "--c", "1.7976931348623157e308", "--verify"],
-            ["report", "--c", "1.7976931348623157e308", "--no-sim"],
+            ["modified", "--sigma", "1e300", "--mu", "1e-10"],
+            ["modified", "--sigma", "1e300", "--re-h", "1e-10", "--json", "f.json"],
+            ["modified", "--sigma", "1e-300", "--p", "4", "--q", "5"],
+            ["modified", "--sigma", "1e-300", "--tau", "2e-300"],
         ],
     )
     def test_failure_prints_and_writes_nothing(self, tmp_path, child_env, command):
@@ -574,6 +608,31 @@ class TestFailureContract:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert not list(tmp_path.iterdir())
+
+    def test_subnormal_tau_leaves_the_nondimensional_results_alone(self, tmp_path, capsys):
+        # a subnormal tau (from --tau, or from the largest --c) once overflowed
+        # the nondimensional u_x coefficient; neither it nor the kink depends on tau
+        big = "1.7976931348623157e308"
+        assert run_cli(["soliton", "--verify"], tmp_path) == 0
+        plain = capsys.readouterr().out
+        assert run_cli(["soliton", "--c", big, "--verify"], tmp_path) == 0
+        assert capsys.readouterr().out == plain
+
+        assert run_cli(["report", "--no-sim", "--json", "plain.json"], tmp_path) == 0
+        assert run_cli(["report", "--c", big, "--no-sim", "--json", "big.json"], tmp_path) == 0
+        reports = [json.loads((tmp_path / name).read_text()) for name in ("plain.json", "big.json")]
+        for payload in reports:
+            del payload["config"]["c"], payload["config"]["tau"]
+            del payload["modified_equation"]["dimensional"]
+        assert reports[1] == reports[0]
+
+        command = ["modified", "--tau", "1e-320", "--mu", "1e-10", "--json", "m.json"]
+        assert run_cli(command, tmp_path) == 0
+        terms = json.loads((tmp_path / "m.json").read_text())["nondimensional"]["terms"]
+        u_x = next(t["coefficient"] for t in terms if (t["t_order"], t["x_order"]) == (0, 1))
+        params = SchemeParams.from_cfl(None, mu=1e-10, re_h=1.0, tau=1e-320)
+        assert math.isfinite(u_x)
+        assert u_x == advection_coefficient(params, optimize_coefficients(1))
 
 
 class TestDeterminism:

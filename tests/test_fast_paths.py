@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from drpkit import cli, sim, wave
-from drpkit.modeq import SchemeParams, nondimensionalize, taylor_expand_scheme
+from drpkit.modeq import SchemeParams, nondimensionalize
 from drpkit.sim import measure
 from drpkit.sim.measure import _rising_crossings
 from drpkit.stencil import dispersion_samples, effective_wavenumber, optimize_coefficients
@@ -460,7 +460,7 @@ def reference_divide_symbol(p, name):
 def reference_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples):
     """The soliton payload that solved each coefficient system twice."""
     sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0).canonical()
-    nondim = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+    nondim = nondimensionalize(coeffs, params)
     ode = wave.reduce_to_ode(nondim, params, v=sol.v, C=C)
     payload = {
         "solution": {"v": sol.v, "U1": sol.U1, "V1": 0.0, "V0": sol.V0, "C1": sol.C1, "C": sol.C},

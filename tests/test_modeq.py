@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from drpkit.errors import TruncationMismatchError
 from drpkit.modeq import (
     DifferentialApproximation,
     SchemeParams,
@@ -92,8 +91,7 @@ class TestTaylorExpansion:
 
 class TestNondimensionalize:
     def test_unit_example(self, m1_coeffs, unit_params):
-        da = taylor_expand_scheme(m1_coeffs, unit_params, 2, 1)
-        nd = nondimensionalize(da, unit_params)
+        nd = nondimensionalize(m1_coeffs, unit_params)
         assert nd.terms[(1, 0)] == -1.0
         assert nd.terms[(2, 0)] == -0.5
         assert nd.terms[(0, 1)] == pytest.approx(4.0 / PI, rel=1e-14)
@@ -103,12 +101,12 @@ class TestNondimensionalize:
         for _ in range(20):
             params = random_params(rng)
             coeffs = optimize_coefficients(int(rng.integers(1, 5)))
-            nd = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+            nd = nondimensionalize(coeffs, params)
             assert nd.terms[(1, 0)] == -1.0
 
     def test_small_sigma_limit(self, m1_coeffs):
         params = SchemeParams.from_cfl(sigma=1e-9, mu=1.0, re_h=1.0)
-        nd = nondimensionalize(taylor_expand_scheme(m1_coeffs, params, 2, 1), params)
+        nd = nondimensionalize(m1_coeffs, params)
         assert abs(nd.terms[(2, 0)]) <= 5e-10
 
     def test_reference_formula_random_draws(self):
@@ -117,17 +115,12 @@ class TestNondimensionalize:
             params = random_params(rng)
             m = int(rng.integers(1, 6))
             coeffs = optimize_coefficients(m)
-            nd = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+            nd = nondimensionalize(coeffs, params)
             half_moment = coeffs.index_moment(1) / 2.0
             want = 2.0 * params.sigma / (params.mu * params.re_h) * half_moment
             assert nd.terms[(1, 0)] == -1.0
             assert abs(nd.terms[(2, 0)] - (-params.sigma / 2.0)) <= 1e-14 * max(1.0, params.sigma)
             assert abs(nd.terms[(0, 1)] - want) <= 1e-14 * max(1.0, abs(want))
-
-    def test_truncation_mismatch(self, m1_coeffs, unit_params):
-        da = taylor_expand_scheme(m1_coeffs, unit_params, 2, 3)
-        with pytest.raises(TruncationMismatchError):
-            nondimensionalize(da, unit_params)
 
     def test_requires_h_equals_h0(self, m1_coeffs):
         base = SchemeParams.from_cfl(sigma=1.0, mu=1.0, re_h=1.0)
@@ -135,13 +128,12 @@ class TestNondimensionalize:
             c=base.c, mu=base.mu, tau=base.tau, h=base.h, sigma=base.sigma,
             U0=2.0, tau0=1.0, h0=2.0, re_h=2.0,
         )
-        da = taylor_expand_scheme(m1_coeffs, skew, 2, 1)
         with pytest.raises(ValueError):
-            nondimensionalize(da, skew)
+            nondimensionalize(m1_coeffs, skew)
 
     def test_zero_stencil_table(self, unit_params):
         zero = StencilCoefficients(m=1, gamma=(0.0,))
-        nd = nondimensionalize(taylor_expand_scheme(zero, unit_params, 2, 1), unit_params)
+        nd = nondimensionalize(zero, unit_params)
         assert set(nd.terms) == {(1, 0), (2, 0)}
 
 

@@ -11,12 +11,16 @@ import numpy as np
 import pytest
 
 from drpkit.errors import TruncationMismatchError
-from drpkit.modeq import SchemeParams, nondimensionalize, taylor_expand_scheme
+from drpkit.modeq import (
+    SchemeParams,
+    advection_coefficient,
+    nondimensionalize,
+    taylor_expand_scheme,
+)
 from drpkit.stencil import StencilCoefficients, optimize_coefficients
 from drpkit.wave import (
     HyperbolicAnsatz,
     Poly,
-    advection_coefficient,
     closed_form_kink,
     collect_system,
     condensed_coefficient_system,
@@ -31,7 +35,7 @@ PI = math.pi
 
 
 def nondim_table(coeffs, params):
-    return nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+    return nondimensionalize(coeffs, params)
 
 
 def transcendental_times_clearing(A, sigma, vals, C1, xi):
@@ -213,6 +217,23 @@ class TestClosedFormKink:
             A = table.coefficient(0, 1)
             assert abs(sol.v - A) <= 1e-14 * max(1.0, abs(A))
             assert sol.v == advection_coefficient(params, coeffs)
+
+    def test_table_and_kink_share_one_advection_coefficient(self):
+        # bit for bit, so the reduction's a0 = A - v vanishes exactly; the
+        # first two draws are the ones whose two formulas for A once differed
+        rng = np.random.default_rng(12)
+        draws = [(1, 0.1, 1.0, 3.0, 1.0), (1, 0.1, 1.0, 1.0, 0.37)]
+        draws += [
+            (int(rng.integers(1, 10)), *(float(x) for x in rng.uniform(0.1, 3.0, 4)))
+            for _ in range(100)
+        ]
+        coeffs = {m: optimize_coefficients(m) for m in range(1, 10)}
+        for m, sigma, mu, re_h, h in draws:
+            params = SchemeParams.from_cfl(sigma=sigma, mu=mu, re_h=re_h, h=h)
+            sol = closed_form_kink(params, coeffs[m], C=1.0, C1=1.0)
+            table = nondim_table(coeffs[m], params)
+            assert table.coefficient(0, 1) == sol.v
+            assert reduce_to_ode(table, params, v=sol.v, C=1.0).a0 == 0.0
 
     def test_canonicalization(self, m1_coeffs, unit_params):
         sol = closed_form_kink(unit_params, m1_coeffs, C=1.0, C1=-2.0)

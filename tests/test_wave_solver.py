@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from drpkit.modeq import SchemeParams, nondimensionalize, taylor_expand_scheme
+from drpkit.modeq import SchemeParams, nondimensionalize
 from drpkit.stencil import optimize_coefficients
 from drpkit.wave import (
     CoefficientSystem,
@@ -33,7 +33,7 @@ PI = math.pi
 
 @pytest.fixture()
 def derived_system(m1_coeffs, unit_params):
-    table = nondimensionalize(taylor_expand_scheme(m1_coeffs, unit_params, 2, 1), unit_params)
+    table = nondimensionalize(m1_coeffs, unit_params)
     sol = closed_form_kink(unit_params, m1_coeffs, C=1.0, C1=1.0)
     ode = reduce_to_ode(table, unit_params, v=sol.v, C=1.0)
     ansatz = HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=0.0, C1=1.0, v=sol.v)
@@ -192,7 +192,7 @@ class TestPinnedUnknowns:
         coeffs = optimize_coefficients(3)
         C1 = 0.6
         sol = closed_form_kink(params, coeffs, C=1.0, C1=C1)
-        table = nondimensionalize(taylor_expand_scheme(coeffs, params, 2, 1), params)
+        table = nondimensionalize(coeffs, params)
         ode = reduce_to_ode(table, params, v=sol.v, C=1.0)
         ansatz = HyperbolicAnsatz(U1=sol.U1, V1=0.0, V0=0.0, C1=C1, v=sol.v)
         systems = (
