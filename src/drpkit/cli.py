@@ -17,8 +17,8 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -195,6 +195,9 @@ _OPTIONS: dict[str, tuple[type | tuple[str, ...], str, Callable[[str, Any], None
 def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
+    # imported here, so commands without --config do not pay for it
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys keep their case: C is not c
     try:
@@ -280,13 +283,13 @@ def _resolve_params(opts: _Options) -> SchemeParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _tables(coeffs, params: SchemeParams, p: int = 2, q: int = 1):
-    """The (p, q) table and the nondimensional table of the reference truncation.
+def _table(build: Callable[..., DifferentialApproximation], *args) -> DifferentialApproximation:
+    """The table ``build(*args)``.
 
     A bad order, or a coefficient that underflows to zero, is bad input.
     """
     try:
-        return taylor_expand_scheme(coeffs, params, p, q), nondimensionalize(coeffs, params)
+        return build(*args)
     except CoefficientUnderflowError as exc:
         raise ConfigError(f"{exc} ({_SET_BY[exc.quantity]})") from exc
     except ValueError as exc:
@@ -368,7 +371,8 @@ def cmd_modified(args) -> int:
     p = opts.get("p")
     q = opts.get("q")
     coeffs = optimize_coefficients(m)
-    dimensional, nondim = _tables(coeffs, params, p, q)
+    dimensional = _table(taylor_expand_scheme, coeffs, params, p, q)
+    nondim = _table(nondimensionalize, coeffs, params)
     _require_finite_table("dimensional", dimensional)
     _require_finite_table("nondimensional", nondim)
     _print_table("dimensional", dimensional)
@@ -386,10 +390,16 @@ def cmd_modified(args) -> int:
 # ---------------------------------------------------------------- soliton
 
 
-def _soliton_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples) -> dict:
-    """The record ``soliton`` prints and ``report`` embeds."""
+def _soliton_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples,
+                     nondim: DifferentialApproximation | None = None) -> dict:
+    """The record ``soliton`` prints and ``report`` embeds.
+
+    It needs only the nondimensional table, built here unless the caller
+    has built it.
+    """
     sol = wave.closed_form_kink(params, coeffs, C=C, C1=C1, V0=V0).canonical()
-    _, nondim = _tables(coeffs, params)
+    if nondim is None:
+        nondim = _table(nondimensionalize, coeffs, params)
     ode = wave.reduce_to_ode(nondim, params, v=sol.v, C=C)
     payload: dict = {
         "solution": {
@@ -647,10 +657,11 @@ def cmd_report(args) -> int:
     errors = np.array([r.error for r in rows])
     band_edge = effective_wavenumber(coeffs, math.pi / 2.0)
 
-    dimensional, nondim = _tables(coeffs, params)
+    dimensional = _table(taylor_expand_scheme, coeffs, params, 2, 1)
+    nondim = _table(nondimensionalize, coeffs, params)
 
     soliton = _soliton_payload(
-        params, echo, coeffs, C, C1, V0, verify=True, xi_max=10.0, xi_samples=41
+        params, echo, coeffs, C, C1, V0, verify=True, xi_max=10.0, xi_samples=41, nondim=nondim
     )
     sol_block = {
         "solution": soliton["solution"],
@@ -768,7 +779,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"drpkit: configuration error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared after it.
+
+    Parsing keeps no state in the parser, so each ``main`` call of a process
+    reuses it; callers must not change it.
+    """
     parser = _Parser(
         prog="drpkit",
         description="Band-optimized stencils, modified equations, spurious-wave diagnostics",

@@ -29,6 +29,7 @@ the discrete scheme and the table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,16 @@ REFERENCE_TRUNCATION_SIGNATURES = frozenset({(1, 0), (2, 0), (0, 1)})
 
 
 def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=1e-300)
+    # below the smallest normal float relative precision ends, so the floor is there
+    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=sys.float_info.min)
 
 
 @dataclass(frozen=True)
 class SchemeParams:
     """Physical and numerical parameters of one scheme configuration.
 
-    Invariants (validated on construction, to 1e-14 relative):
+    Invariants (validated on construction, to 1e-14 relative, or absolute
+    below the smallest normal float):
       sigma = c * tau / h,  U0 = h0 / tau0,  Re_h = U0 * h / mu.
     """
 
@@ -97,7 +100,7 @@ class SchemeParams:
         elif sigma is None:
             sigma = c * tau / h
         elif not math.isclose(sigma, c * tau / h, rel_tol=1e-12):
-            # the invariant's absolute floor would let any pair below 1e-300 through
+            # the invariant's absolute floor would let any subnormal pair through
             raise ValueError(f"inconsistent dynamics: sigma={sigma!r} but c*tau/h={c * tau / h!r}")
         U0 = re_h * mu / h
         if U0 == 0.0:
@@ -162,7 +165,9 @@ def taylor_expand_scheme(
     Time terms are -tau^{s-1}/s!; space terms (tau/h) * h^r/r! times the
     r-th index moment of the weights.  Even-r moments vanish by antisymmetry
     and their signatures are absent.  p <= 6 and q <= 12 so factorials and
-    integer powers stay exact in floating point.
+    integer powers stay exact in floating point.  A term whose coefficient
+    underflows to zero raises CoefficientUnderflowError, naming h when h^r
+    underflows and tau otherwise.
     """
     if not isinstance(p, int) or p < 1 or p > _MAX_TIME_ORDER:
         raise ValueError(f"time order p must be in [1, {_MAX_TIME_ORDER}], got {p!r}")
@@ -178,10 +183,12 @@ def taylor_expand_scheme(
         moment = coeffs.index_moment(r)
         if moment == 0.0:
             continue
-        power = _power("h", params.h, r)
-        coefficient = (params.tau / params.h) * (power / math.factorial(r)) * moment
-        if coefficient != 0.0:
-            terms[(0, r)] = coefficient
+        scale = _power("h", params.h, r) / math.factorial(r)
+        terms[(0, r)] = (params.tau / params.h) * scale * moment
+        if terms[(0, r)] == 0.0:
+            name = DifferentialApproximation.term_name(0, r)
+            quantity = "tau" if scale else "h"
+            raise CoefficientUnderflowError(name, quantity, getattr(params, quantity))
     return DifferentialApproximation(terms=terms, truncation=(p, q))
 
 

@@ -1,9 +1,11 @@
 """CLI artifacts: formats, exit codes, determinism, round-trips."""
 
+import hashlib
 import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -13,11 +15,13 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from drpkit import cli
 from drpkit.cli import main
 from drpkit.modeq import SchemeParams, advection_coefficient
 from drpkit.stencil import optimize_coefficients
 
 PI = math.pi
+CLI_OPTIONS = Path(__file__).resolve().parents[1] / "benchmarks" / "cli_options.txt"
 
 
 def run_cli(args, cwd):
@@ -335,6 +339,80 @@ class TestConfigFile:
         assert (target / "c.json").exists()
 
 
+def run_in_fresh_dir(args, workdir, capsys):
+    """Exit code, stdout, stderr and artifact digests of one in-process call."""
+    workdir.mkdir()
+    code = run_cli(args, workdir)
+    out, err = capsys.readouterr()
+    digests = {
+        path.relative_to(workdir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(workdir.rglob("*")) if path.is_file()
+    }
+    return code, out.replace(str(workdir), "<dir>"), err, digests
+
+
+class TestSharedParser:
+    """One parser serves every ``main`` call of a process, whatever came before."""
+
+    def test_every_option_gives_the_same_result_in_either_order(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("DRPKIT_OUTPUT_DIR", raising=False)
+        lines = (line.strip() for line in CLI_OPTIONS.read_text().splitlines())
+        commands = [shlex.split(line) for line in lines if line and not line.startswith("#")]
+        forward = [
+            run_in_fresh_dir(args, tmp_path / f"forward-{i}", capsys)
+            for i, args in enumerate(commands)
+        ]
+        backward = [
+            run_in_fresh_dir(args, tmp_path / f"backward-{i}", capsys)
+            for i, args in reversed(list(enumerate(commands)))
+        ]
+        assert all(result[0] == 0 for result in forward)
+        for args, first, second in zip(commands, forward, reversed(backward)):
+            assert first == second, args
+
+    def test_a_parse_error_leaves_the_next_call_alone(self, tmp_path, capsys):
+        assert run_cli(["coeffs", "--m", "3"], tmp_path) == 0
+        good = capsys.readouterr()
+        with pytest.raises(SystemExit) as stop:
+            run_cli(["coeffs", "--m", "x"], tmp_path)
+        assert stop.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert run_cli(["coeffs", "--m", "3"], tmp_path) == 0
+        assert capsys.readouterr() == good
+
+    def test_version_after_a_command(self, tmp_path, capsys):
+        assert run_cli(["coeffs"], tmp_path) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as stop:
+            main(["--version"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == f"drpkit {cli.__version__}\n"
+
+    def test_two_calls_build_one_parser(self, tmp_path, capsys):
+        cli.build_parser.cache_clear()
+        assert run_cli(["coeffs"], tmp_path) == 0
+        assert run_cli(["dispersion", "--samples", "3"], tmp_path) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+def test_import_builds_no_parser_and_loads_no_unused_module(child_env):
+    # numpy.polynomial is what the stencil's quadrature rule once came from,
+    # and configparser serves --config only
+    code = (
+        "import sys, drpkit.cli; "
+        "print(sorted({'numpy.polynomial', 'configparser'} & set(sys.modules)), "
+        "drpkit.cli.build_parser.cache_info().misses)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0\n"
+
+
 class TestRoundTrip:
     def test_json_artifacts_are_serialization_fixed_points(self, tmp_path):
         # reloading and re-serializing any JSON artifact must reproduce it
@@ -526,6 +604,10 @@ class TestFailureContract:
              "(tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
             (["modified", "--sigma", "1e-300", "--tau", "2e-300"], 2,
              "configuration error: inconsistent dynamics: sigma=1e-300 but c*tau/h=2e-300"),
+            (["soliton", "--tau", "5e-324", "--h", "1e-150", "--mu", "1e-170"], 0, None),
+            (["modified", "--h", "1e-30", "--q", "12"], 2,
+             "configuration error: the u_x_x_x_x_x_x_x_x_x_x_x coefficient underflows to zero "
+             "at h = 1e-30 (set by --h)"),
         ],
     )
     def test_exit_code_and_one_line_per_message(self, tmp_path, child_env, command, code, message):
@@ -593,6 +675,7 @@ class TestFailureContract:
             ["modified", "--sigma", "1e300", "--re-h", "1e-10", "--json", "f.json"],
             ["modified", "--sigma", "1e-300", "--p", "4", "--q", "5"],
             ["modified", "--sigma", "1e-300", "--tau", "2e-300"],
+            ["modified", "--h", "1e-30", "--q", "12"],
         ],
     )
     def test_failure_prints_and_writes_nothing(self, tmp_path, child_env, command):
@@ -617,6 +700,15 @@ class TestFailureContract:
         plain = capsys.readouterr().out
         assert run_cli(["soliton", "--c", big, "--verify"], tmp_path) == 0
         assert capsys.readouterr().out == plain
+
+        # soliton builds no dimensional table, whose u_t_t = -tau/2 underflows here;
+        # the kink is the one of the same sigma = c tau / h at h = 1
+        command = ["soliton", "--tau", "5e-324", "--h", "1e-150", "--mu", "1e-170"]
+        assert run_cli(command, tmp_path) == 0
+        subnormal = capsys.readouterr().out
+        assert run_cli(["soliton", "--sigma", repr(5e-324 / 1e-150), "--mu", "1e-170"],
+                       tmp_path) == 0
+        assert capsys.readouterr().out == subnormal
 
         assert run_cli(["report", "--no-sim", "--json", "plain.json"], tmp_path) == 0
         assert run_cli(["report", "--c", big, "--no-sim", "--json", "big.json"], tmp_path) == 0

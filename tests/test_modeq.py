@@ -1,10 +1,12 @@
 """Modified-equation tables, their nondimensional form, and the Fourier symbol."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from drpkit.errors import CoefficientUnderflowError
 from drpkit.modeq import (
     DifferentialApproximation,
     SchemeParams,
@@ -43,6 +45,16 @@ class TestSchemeParams:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             SchemeParams.from_cfl(sigma=-1.0, mu=1.0, re_h=1.0)
+
+    def test_absolute_floor_is_the_smallest_normal_float(self):
+        # normal values keep their relative precision: 1e-300 is not 2e-300
+        with pytest.raises(ValueError, match="sigma=1e-300 inconsistent"):
+            SchemeParams(c=1, mu=1, tau=2e-300, h=1, sigma=1e-300, U0=1, tau0=1, h0=1, re_h=1)
+        # below sys.float_info.min relative precision ends, and the floor decides
+        tiny = sys.float_info.min / 4.0
+        params = SchemeParams(c=1, mu=1, tau=2 * tiny, h=1, sigma=tiny, U0=1, tau0=1, h0=1,
+                              re_h=1)
+        assert params.sigma == tiny
 
 
 class TestTaylorExpansion:
@@ -87,6 +99,21 @@ class TestTaylorExpansion:
     def test_no_zero_coefficients_stored(self):
         with pytest.raises(ValueError):
             DifferentialApproximation(terms={(1, 0): 0.0}, truncation=(1, 1))
+
+    @pytest.mark.parametrize(
+        "params, quantity",
+        [
+            # h**11 underflows
+            (SchemeParams.from_cfl(sigma=1.0, mu=1.0, re_h=1.0, h=1e-30), "h"),
+            # h**11 / 11! is fine, but tau times it underflows; u_t_t = -tau/2 does not
+            (SchemeParams.from_cfl(None, mu=1.0, re_h=1.0, tau=1e-317), "tau"),
+        ],
+    )
+    def test_underflowing_space_term_raises(self, m1_coeffs, params, quantity):
+        assert taylor_expand_scheme(m1_coeffs, params, 2, 9).terms[(0, 9)] != 0.0
+        with pytest.raises(CoefficientUnderflowError, match="the u_x_x_x_x_x_x_x_x_x_x_x ") as exc:
+            taylor_expand_scheme(m1_coeffs, params, 2, 12)
+        assert exc.value.quantity == quantity
 
 
 class TestNondimensionalize:

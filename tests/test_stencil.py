@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from drpkit import stencil
 from drpkit.errors import SingularSystemError
 from drpkit.stencil import (
     StencilCoefficients,
@@ -154,6 +155,12 @@ class TestEffectiveWavenumber:
 
 
 class TestIntegratedError:
+    def test_rule_is_numpy_leggauss_64_bit_for_bit(self):
+        # the rule is held as literals; NumPy computes it here, as the oracle
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(stencil._QUAD_NODES, (PI / 4.0) * (nodes + 1.0))
+        assert np.array_equal(stencil._QUAD_WEIGHTS, (PI / 4.0) * weights)
+
     def test_zero_stencil_closed_form(self):
         zero = StencilCoefficients(m=1, gamma=(0.0,))
         assert integrated_error(zero) == pytest.approx(PI**3 / 12.0, abs=1e-12)
