@@ -12,7 +12,9 @@ and ``describe_solution_set`` summary, or the exception it raised, go
 into one sha256 per tree.  The two trees run at once, each in its own
 interpreter with its ``src`` first on PYTHONPATH.  Prints both digests
 with the solve, unresolved and exception counts, and exits 1 when the
-digests differ.
+digests differ.  Each tree's sweep streams its per-solve records as it
+makes them, and the script prints every solve whose record differs between
+the trees, old record first.
 
 Both interpreters run this copy of the script.  When the library calls it
 makes (the table is ``nondimensionalize(coeffs, params)`` here) do not
@@ -62,7 +64,10 @@ def _systems(rng):
 
 
 def sweep() -> dict:
-    """Digest and counts of every pinned solve, for the drpkit on sys.path."""
+    """Digest and counts of every pinned solve, for the drpkit on sys.path.
+
+    Each solve's record line is printed as it is made.
+    """
     import numpy as np
 
     from drpkit.wave import describe_solution_set, solve_system
@@ -97,6 +102,7 @@ def sweep() -> dict:
                             sort_keys=True,
                         )
                         digest.update(line.encode() + b"\n")
+                        print(line)
     return {"sha256": digest.hexdigest(), **counts}
 
 
@@ -116,12 +122,25 @@ def start(tree: Path) -> subprocess.Popen:
     )
 
 
-def finish(tree: Path, proc: subprocess.Popen) -> dict:
+def print_differences(procs: list[subprocess.Popen]) -> tuple[str, ...]:
+    """Print the record pairs that differ while both sweeps stream them.
+
+    Returns the last line of each stream, its summary.
+    """
+    last = (None, None)
+    for pair in zip(*(proc.stdout for proc in procs)):
+        if last[0] != last[1]:
+            print(f"old {last[0]}new {last[1]}", end="")
+        last = pair
+    return last
+
+
+def finish(tree: Path, proc: subprocess.Popen, summary: str) -> dict:
     """The sweep's digest and counts, once its interpreter exits."""
-    stdout, stderr = proc.communicate()
+    _, stderr = proc.communicate()
     if proc.returncode != 0:
         raise SystemExit(f"sweep failed on {tree}:\n{stderr}")
-    return json.loads(stdout)
+    return json.loads(summary)
 
 
 def main(argv=None) -> int:
@@ -129,8 +148,10 @@ def main(argv=None) -> int:
     parser.add_argument("old", type=Path, help="source tree of the reference")
     parser.add_argument("new", type=Path, help="source tree to compare")
     args = parser.parse_args(argv)
-    procs = [start(args.old), start(args.new)]
-    results = [finish(tree, proc) for tree, proc in zip((args.old, args.new), procs)]
+    trees = (args.old, args.new)
+    procs = [start(tree) for tree in trees]
+    summaries = print_differences(procs)
+    results = [finish(*run) for run in zip(trees, procs, summaries)]
     for label, result in zip(("old", "new"), results):
         print(f"{label}: {result['sha256']} solves={result['solves']} "
               f"unresolved={result['unresolved']} exceptions={result['exceptions']}")

@@ -36,7 +36,7 @@ from .modeq import (
     taylor_expand_scheme,
 )
 from .stencil import (
-    DispersionSample,
+    DispersionTable,
     StencilCoefficients,
     dispersion_samples,
     effective_wavenumber,
@@ -64,7 +64,7 @@ __all__ = [
     "discrete_symbol",
     "nondimensionalize",
     "taylor_expand_scheme",
-    "DispersionSample",
+    "DispersionTable",
     "StencilCoefficients",
     "dispersion_samples",
     "effective_wavenumber",

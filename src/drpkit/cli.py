@@ -9,9 +9,10 @@ configuration is echoed into every JSON artifact.  Exit codes: 0 success,
 $DRPKIT_OUTPUT_DIR when it is set.
 
 All artifacts are deterministic: floats are written with full round-trip
-precision as repr writes them (snapshot CSVs get repr's text from orjson),
-JSON keys are sorted, and nothing records wall-clock time, so fixed configs
-produce byte-identical files.
+precision as repr writes them (both CSV artifacts, the snapshots and the
+dispersion table, take repr's text from orjson), JSON keys are sorted, and
+nothing records wall-clock time, so fixed configs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -349,10 +350,9 @@ def cmd_dispersion(args) -> int:
     m = opts.get("m")
     samples = opts.get("samples")
     coeffs = optimize_coefficients(m)
-    rows = dispersion_samples(coeffs, samples)
+    table = dispersion_samples(coeffs, samples)
     lines = [f"# m={m} samples={samples}", "zeta,lambda_bar_h,error"]
-    # the rows hold Python floats, whose repr is the string _fmt gives
-    lines += [f"{r.zeta!r},{r.lambda_bar_h!r},{r.error!r}" for r in rows]
+    lines += map(",".join, zip(*map(_float_texts, table)))
     text = "\n".join(lines) + "\n"
     if args.csv:
         _write_text(_out_path(args.csv), text)
@@ -528,7 +528,7 @@ def _float_texts(values) -> list[str]:
     both signs, [1e-4, 1e16) and everything below 1e-9 it writes as ``repr``
     does.  A NaN or an infinity would come out as ``null``.
     """
-    # imported here, so commands that write no snapshot do not pay for it
+    # imported here, so commands that write no CSV do not pay for it
     import orjson
 
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -653,8 +653,7 @@ def cmd_report(args) -> int:
     echo = dataclasses.asdict(params)
     coeffs = optimize_coefficients(m)
 
-    rows = dispersion_samples(coeffs, samples)
-    errors = np.array([r.error for r in rows])
+    errors = dispersion_samples(coeffs, samples).error
     band_edge = effective_wavenumber(coeffs, math.pi / 2.0)
 
     dimensional = _table(taylor_expand_scheme, coeffs, params, 2, 1)

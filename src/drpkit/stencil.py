@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,13 +105,12 @@ class StencilCoefficients:
         return 2.0 * float(self.gamma_array @ ks**r)
 
 
-@dataclass(frozen=True)
-class DispersionSample:
-    """One point of the symbol diagnostic: reduced wavenumber, its image, their gap."""
+class DispersionTable(NamedTuple):
+    """The symbol diagnostic as aligned float64 columns, one entry per sample."""
 
-    zeta: float
-    lambda_bar_h: float
-    error: float
+    zeta: np.ndarray
+    lambda_bar_h: np.ndarray
+    error: np.ndarray
 
 
 def assemble_normal_equations(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,11 +236,12 @@ def integrated_error_closed_form(coeffs: StencilCoefficients) -> float:
     return math.pi**3 / 12.0 - 8.0 * float(g @ b) + 4.0 * float(g @ M @ g)
 
 
-def dispersion_samples(coeffs: StencilCoefficients, n: int) -> list[DispersionSample]:
-    """Uniform symbol samples over the full band [-pi/2, pi/2].
+def dispersion_samples(coeffs: StencilCoefficients, n: int) -> DispersionTable:
+    """Uniform symbol samples over the full band [-pi/2, pi/2], as columns.
 
-    For odd n the grid is built by mirroring the positive half, so zero and
-    the band edges are hit exactly and the sample set is exactly symmetric.
+    ``error`` is ``zeta - lambda_bar_h``.  For odd n the grid is built by
+    mirroring the positive half, so zero and the band edges are hit exactly
+    and the sample set is exactly symmetric.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -251,7 +252,4 @@ def dispersion_samples(coeffs: StencilCoefficients, n: int) -> list[DispersionSa
         zetas = np.linspace(-_BAND_EDGE, _BAND_EDGE, n)
     lams = effective_wavenumber(coeffs, zetas)
     # the array subtraction is the scalar z - l of every row, element by element
-    return [
-        DispersionSample(zeta=z, lambda_bar_h=l, error=e)
-        for z, l, e in zip(zetas.tolist(), lams.tolist(), (zetas - lams).tolist())
-    ]
+    return DispersionTable(zetas, lams, zetas - lams)

@@ -11,7 +11,8 @@ pieces.  The solver alternates two moves until each branch closes:
   recorded v != A constraint), on a common factor V1 likewise, on a
   single-unknown equation via its real roots, and, when an unknown appears
   affinely with a coefficient that is a nonvanishing power of (v - A), via
-  a rational assignment.
+  a rational assignment (first splitting on v = A, when no v != A
+  constraint holds yet).
 
 Every returned branch is a sound parameterization: substituting any
 admissible values of its free symbols into the original system gives zero
@@ -147,7 +148,7 @@ class _Solver:
             return [self._finalize(assignments, constraints, tuple(eqs))]
         for rule in (self._split_on_speed, self._split_on_sech_amplitude,
                      self._split_on_univariate, self._assign_rational,
-                     self._combine_pair):
+                     self._combine_pair, self._split_for_rational):
             branches = rule(eqs, assignments, constraints, depth)
             if branches is not None:
                 return branches
@@ -201,23 +202,27 @@ class _Solver:
 
     # -- splitting rules -----------------------------------------------
 
-    def _split_on_speed(self, eqs, assignments, constraints, depth):
-        divisible = [eq.divide_linear("v", self.A) for eq in eqs]
-        if not any(q is not None for q in divisible):
-            return None
+    def _branch_on_speed(self, eqs, reduced, assignments, constraints, depth):
+        """The branches of eqs at v = A, then those of reduced under v != A."""
         branches = []
         if not self._conflicts("v", self.A, constraints):
             sub = {**assignments, "v": self.A}
             sub_eqs = [eq.substitute("v", self.A) for eq in eqs]
             branches += self.solve(sub_eqs, sub, constraints, depth + 1)
+        branches += self.solve(reduced, assignments, constraints + (("v", self.A),), depth + 1)
+        return branches
+
+    def _split_on_speed(self, eqs, assignments, constraints, depth):
+        divisible = [eq.divide_linear("v", self.A) for eq in eqs]
+        if not any(q is not None for q in divisible):
+            return None
         reduced = []
         for eq, q in zip(eqs, divisible):
             while q is not None:
                 eq = q
                 q = eq.divide_linear("v", self.A)
             reduced.append(eq)
-        branches += self.solve(reduced, assignments, constraints + (("v", self.A),), depth + 1)
-        return branches
+        return self._branch_on_speed(eqs, reduced, assignments, constraints, depth)
 
     def _split_on_sech_amplitude(self, eqs, assignments, constraints, depth):
         divisible = [eq.divide_symbol("V1") for eq in eqs]
@@ -264,14 +269,12 @@ class _Solver:
             return branches
         return None
 
-    def _coeff_nonzero_under_constraints(self, coeff: Poly, constraints) -> bool:
-        """Whether coeff is a nonzero constant times a power of (v - A) on a v != A branch.
+    def _is_speed_power(self, coeff: Poly) -> bool:
+        """Whether coeff is a nonzero constant times a power of (v - A).
 
         A constant coefficient never gets here: propagation has pinned every
         unknown whose coefficient is a constant above the tolerance.
         """
-        if ("v", self.A) not in constraints:
-            return False
         if coeff.variables() != {"v"}:
             return False  # guard: only a polynomial in v alone can be a power of (v - A)
         while True:
@@ -288,7 +291,7 @@ class _Solver:
                 if name in assignments or eq.degree(name) != 1:
                     continue
                 coeff = eq.coefficient_poly(name, 1)
-                if not self._coeff_nonzero_under_constraints(coeff, constraints):
+                if ("v", self.A) not in constraints or not self._is_speed_power(coeff):
                     continue
                 num = -1.0 * eq.coefficient_poly(name, 0)
                 new_eqs = [
@@ -326,6 +329,21 @@ class _Solver:
                 combo = eqs[i] - eqs[j]
                 if self._combo_useful(combo, eqs):
                     return self.solve(eqs + [combo], assignments, constraints, depth + 1)
+        return None
+
+    def _split_for_rational(self, eqs, assignments, constraints, depth):
+        """Split on v = A when an unknown is affine with a power of (v - A) as coefficient.
+
+        The last resort for an equation such as V0 (A - v) = C with C pinned
+        to a nonzero number: no factor divides out, and only under v != A
+        does ``_assign_rational`` pin the unknown.  A match never holds that
+        constraint already, or ``_assign_rational`` would have taken it.
+        """
+        for eq in eqs:
+            for name in SYMBOLS:
+                if (name not in assignments and eq.degree(name) == 1
+                        and self._is_speed_power(eq.coefficient_poly(name, 1))):
+                    return self._branch_on_speed(eqs, eqs, assignments, constraints, depth)
         return None
 
     # -- finalization ----------------------------------------------------

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import drpkit
-from drpkit import wave
+from drpkit import cli, wave
 from drpkit.modeq import SchemeParams, nondimensionalize
 from drpkit.stencil import optimize_coefficients
 
@@ -49,6 +53,53 @@ def child_env():
         return env
 
     return build
+
+
+@contextlib.contextmanager
+def file_descriptors_to(sink):
+    """Send what native code writes to file descriptors 1 and 2 into ``sink``."""
+    saved = [os.dup(1), os.dup(2)]
+    os.dup2(sink.fileno(), 1)
+    os.dup2(sink.fileno(), 2)
+    try:
+        yield
+    finally:
+        for fd, copy in zip((1, 2), saved):
+            os.dup2(copy, fd)
+            os.close(copy)
+
+
+def run_in(workdir, argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)`` run in ``workdir``.
+
+    The call runs as a child with DRPKIT_OUTPUT_DIR unset would; the
+    environment is restored afterwards.  What native code writes to the file
+    descriptors (LAPACK's messages, for one) is appended to stderr, where a
+    child process would show it.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    old = Path.cwd()
+    os.chdir(workdir)
+    try:
+        with mock.patch.dict(os.environ), tempfile.TemporaryFile() as native, \
+                file_descriptors_to(native), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            os.environ.pop("DRPKIT_OUTPUT_DIR", None)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse, which also prints the line
+                code = exc.code
+            native.seek(0)
+            err.write(native.read().decode(errors="replace"))
+    finally:
+        os.chdir(old)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="session")
+def cli_in_process():
+    """``run_in``: one ``cli.main`` call in a directory, its output captured as a child's."""
+    return run_in
 
 
 @pytest.fixture(scope="session")

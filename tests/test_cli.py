@@ -82,11 +82,11 @@ class TestDispersion:
         run_cli(["dispersion", "--m", "2", "--samples", "21", "--csv", "d.csv"], tmp_path)
         from drpkit import dispersion_samples, optimize_coefficients
 
-        rows = dispersion_samples(optimize_coefficients(2), 21)
+        table = dispersion_samples(optimize_coefficients(2), 21)
         lines = (tmp_path / "d.csv").read_text().splitlines()[2:]
-        for line, row in zip(lines, rows):
+        for line, row in zip(lines, zip(*table)):
             z, lam, err = (float(x) for x in line.split(","))
-            assert (z, lam, err) == (row.zeta, row.lambda_bar_h, row.error)
+            assert (z, lam, err) == row
 
 
 class TestModified:
@@ -492,136 +492,188 @@ def test_child_process_imports_same_drpkit(tmp_path, child_env):
     assert Path(proc.stdout.strip()).resolve() == Path(drpkit.__file__).resolve()
 
 
+# (command, exit code, a text of its one stderr line or None for no line)
+EXIT_CASES = [
+    (["report", "--N", "5", "--m", "3"], 2, "too small for half-width 3"),
+    (["simulate", "--init", "gaussian", "--width", "0"], 2, "width must be"),
+    (["soliton", "--C1", "1e-320", "--verify"], 2, "C1 must be finite"),
+    (["soliton", "--C", "1e308", "--C1", "1e-300", "--json", "f.json"], 3, "non-finite"),
+    (["soliton", "--sigma", "1e300", "--verify"], 3, "numerical failure"),
+    (["simulate", "--N", "64", "--sigma", "5", "--steps", "1000",
+      "--snap-every", "1000"], 3, "by step 8"),
+    (["simulate", "--N", "64", "--sigma", "5", "--steps", "1000",
+      "--snap-every", "1"], 3, "by step 8"),
+    (["simulate", "--C1", "0.3"], 0, "drpkit: warning: kink width"),
+    (["simulate", "--C", "0", "--N", "64", "--steps", "10"], 2, "kink is constant"),
+    (["simulate", "--sigma", "1e300", "--N", "64", "--steps", "10"], 2,
+     "kink is constant"),
+    (["report", "--m", "3", "--C", "0"], 2, "kink is constant"),
+    (["report", "--snap-every", "0"], 2, "snap_every must be positive"),
+    (["soliton", "--C", "1e300", "--C1", "1e-10", "--verify"], 3, "non-finite"),
+    (["soliton", "--C", "1e308", "--C1", "1e-300"], 3, "non-finite"),
+    (["simulate", "--init", "gaussian", "--oracle", "--N", "64", "--sigma", "5",
+      "--steps", "1000", "--snap-every", "1000"], 3, "by step 8"),
+    (["modified", "--sigma", "1e200", "--p", "6", "--q", "12"], 3,
+     "tau**2 overflows a float at tau = 1e+200 (tau = sigma h / c, set by --sigma"),
+    (["soliton", "--sigma", "1e200", "--verify"], 3,
+     "v**2 overflows a float at v = 1.2732395447351627e+200 (v is the kink speed, "
+     "set by --sigma"),
+    (["report", "--tau", "1e-320", "--C1", "1e300", "--steps", "10", "--N", "64"], 2,
+     "denominator 2 C1 v^2 sigma underflows to zero"),
+    (["soliton", "--sigma", "1.7976931348623157e308", "--C1", "1e8"], 3,
+     "a0 = A - v is NaN at A = inf, v = inf"),
+    (["report", "--sigma", "1.7976931348623157e308", "--C1", "1e8", "--N", "64"], 3,
+     "a0 = A - v is NaN at A = inf, v = inf"),
+    (["modified", "--sigma", "1.7976931348623157e308", "--m", "3"], 3,
+     "u_x coefficient is inf"),
+    (["soliton", "--C", "-1e-3"], 0, None),
+    (["coeffs", "--m", "x"], 2, "configuration error: argument --m: invalid int value"),
+    (["modified", "--mu", "1e-200", "--re-h", "1e-200"], 2,
+     "configuration error: U0 = re_h mu / h underflows to zero"),
+    (["simulate", "--mu", "1e-200", "--re-h", "1e-200", "--N", "64", "--steps", "10"], 2,
+     "configuration error: U0 = re_h mu / h underflows to zero"),
+    (["modified", "--h", "1e-300", "--q", "3"], 2,
+     "configuration error: tau0 = h / U0 underflows to zero at h = 1e-300, "
+     "U0 = 9.999999999999999e+299"),
+    (["simulate", "--C", "-inf", "--N", "64", "--steps", "10"], 2,
+     "configuration error: C must be finite, got -inf"),
+    (["report", "--C", "-inf", "--steps", "10", "--N", "64"], 2,
+     "configuration error: C must be finite, got -inf"),
+    (["soliton", "--xi-max", "inf", "--verify"], 2,
+     "configuration error: xi_max must be finite, got inf"),
+    (["soliton", "--xi-samples", "-3", "--verify"], 2,
+     "configuration error: xi_samples must be nonnegative, got -3"),
+    (["soliton", "--V0", "inf", "--verify"], 2,
+     "configuration error: V0 must be finite, got inf"),
+    (["simulate", "--V0", "nan", "--N", "64", "--steps", "10"], 2,
+     "configuration error: V0 must be finite, got nan"),
+    (["report", "--V0", "inf", "--N", "64", "--steps", "10"], 2,
+     "configuration error: V0 must be finite, got inf"),
+    (["simulate", "--level", "nan", "--N", "64", "--steps", "10"], 2,
+     "configuration error: level must be finite, got nan"),
+    (["simulate", "--init", "constant", "--value", "inf", "--N", "64", "--steps", "10"], 2,
+     "configuration error: value must be finite, got inf"),
+    (["simulate", "--init", "gaussian", "--amplitude", "inf", "--N", "64",
+      "--steps", "10"], 2, "configuration error: amplitude must be finite, got inf"),
+    (["simulate", "--init", "gaussian", "--center", "nan", "--N", "64", "--steps", "10"],
+     2, "configuration error: center must be finite, got nan"),
+    (["simulate", "--init", "random", "--amplitude", "inf", "--N", "64", "--steps", "10"],
+     2, "configuration error: amplitude must be finite, got inf"),
+    (["simulate", "--init", "gaussian", "--amplitude", "1e300", "--N", "64",
+      "--steps", "10"], 3, "L2 norm of the initial field overflows"),
+    (["simulate", "--init", "mode", "--amplitude", "1e200", "--N", "64", "--steps", "20"],
+     3, "L2 norm of the initial field overflows"),
+    (["simulate", "--C", "1e150", "--C1", "0.3", "--N", "64", "--steps", "10"], 3,
+     "cross-correlation of the snapshot at t=0.0 with the kink template overflows"),
+    (["simulate", "--init", "random", "--seed", "-1", "--N", "64", "--steps", "10"], 2,
+     "configuration error: seed must be nonnegative, got -1"),
+    (["dispersion", "--samples", "100000000000000"], 2,
+     "configuration error: samples must be at most 16777216, got 100000000000000"),
+    (["report", "--samples", "100000000000000", "--no-sim"], 2,
+     "configuration error: samples must be at most 16777216, got 100000000000000"),
+    (["soliton", "--xi-samples", "100000000000000", "--verify"], 2,
+     "configuration error: xi_samples must be at most 16777216, got 100000000000000"),
+    (["simulate", "--N", "100000000000000", "--steps", "10"], 2,
+     "configuration error: N must be at most 16777216, got 100000000000000"),
+    (["report", "--samples", "1", "--no-sim"], 2,
+     "configuration error: samples must be at least 2, got 1"),
+    (["report", "--sigma", "5e-324", "--no-sim"], 2,
+     "configuration error: the u_t_t coefficient underflows to zero at tau = 5e-324 "
+     "(tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
+    (["report", "--tau", "5e-324", "--no-sim"], 2,
+     "configuration error: the u_t_t coefficient underflows to zero at tau = 5e-324 "
+     "(tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
+    (["modified", "--sigma", "5e-324", "--c", "5e-324"], 2,
+     "configuration error: the nondimensional u_t_t coefficient underflows to zero at "
+     "sigma = 5e-324 (tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
+    (["modified", "--sigma", "1e300", "--mu", "1e-10"], 3,
+     "nondimensional u_x coefficient is inf"),
+    (["modified", "--sigma", "1e300", "--re-h", "1e-10", "--json", "f.json"], 3,
+     "nondimensional u_x coefficient is inf"),
+    (["simulate", "--c", "1e300", "--N", "64", "--steps", "20"], 0, None),
+    (["modified", "--sigma", "1e-300", "--p", "4", "--q", "5"], 2,
+     "configuration error: the u_t_t_t coefficient underflows to zero at tau = 1e-300 "
+     "(tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
+    (["modified", "--sigma", "1e-300", "--tau", "2e-300"], 2,
+     "configuration error: inconsistent dynamics: sigma=1e-300 but c*tau/h=2e-300"),
+    (["soliton", "--tau", "5e-324", "--h", "1e-150", "--mu", "1e-170"], 0, None),
+    (["modified", "--h", "1e-30", "--q", "12"], 2,
+     "configuration error: the u_x_x_x_x_x_x_x_x_x_x_x coefficient underflows to zero "
+     "at h = 1e-30 (set by --h)"),
+]
+
+# failing commands that must print nothing on stdout and write no file
+WRITES_NOTHING = [
+    ["simulate", "--C", "0", "--N", "64", "--steps", "10"],
+    ["simulate", "--sigma", "1e300", "--N", "64", "--steps", "10"],
+    ["report", "--m", "3", "--C", "0"],
+    ["soliton", "--C", "1e300", "--C1", "1e-10", "--verify"],
+    ["soliton", "--C", "1e308", "--C1", "1e-300"],
+    ["soliton", "--C", "1e308", "--C1", "1e-300", "--json", "f.json"],
+    ["modified", "--sigma", "1.7976931348623157e308", "--m", "3"],
+    ["coeffs", "--m", "x"],
+    ["modified", "--mu", "1e-200", "--re-h", "1e-200"],
+    ["simulate", "--mu", "1e-200", "--re-h", "1e-200", "--N", "64", "--steps", "10"],
+    ["modified", "--h", "1e-300", "--q", "3"],
+    ["simulate", "--C", "-inf", "--N", "64", "--steps", "10"],
+    ["report", "--C", "-inf", "--steps", "10", "--N", "64"],
+    ["soliton", "--xi-max", "inf", "--verify"],
+    ["soliton", "--xi-samples", "-3", "--verify"],
+    ["soliton", "--V0", "inf", "--verify"],
+    ["simulate", "--V0", "nan", "--N", "64", "--steps", "10"],
+    ["report", "--V0", "inf", "--N", "64", "--steps", "10"],
+    ["simulate", "--level", "nan", "--N", "64", "--steps", "10"],
+    ["simulate", "--init", "constant", "--value", "inf", "--N", "64", "--steps", "10"],
+    ["simulate", "--init", "gaussian", "--amplitude", "inf", "--N", "64", "--steps", "10"],
+    ["simulate", "--init", "gaussian", "--center", "nan", "--N", "64", "--steps", "10"],
+    ["simulate", "--init", "random", "--amplitude", "inf", "--N", "64", "--steps", "10"],
+    ["simulate", "--init", "gaussian", "--amplitude", "1e300", "--N", "64",
+     "--steps", "10"],
+    ["simulate", "--init", "mode", "--amplitude", "1e200", "--N", "64", "--steps", "20"],
+    ["simulate", "--C", "1e150", "--C1", "0.2", "--N", "64", "--steps", "10"],
+    ["simulate", "--init", "random", "--seed", "-1", "--N", "64", "--steps", "10"],
+    ["dispersion", "--samples", "100000000000000"],
+    ["report", "--samples", "100000000000000", "--no-sim"],
+    ["soliton", "--xi-samples", "100000000000000", "--verify"],
+    ["simulate", "--N", "100000000000000", "--steps", "10"],
+    ["report", "--samples", "1", "--no-sim"],
+    ["report", "--sigma", "5e-324", "--no-sim"],
+    ["report", "--tau", "5e-324", "--no-sim"],
+    ["modified", "--sigma", "5e-324", "--c", "5e-324"],
+    ["modified", "--sigma", "1e300", "--mu", "1e-10"],
+    ["modified", "--sigma", "1e300", "--re-h", "1e-10", "--json", "f.json"],
+    ["modified", "--sigma", "1e-300", "--p", "4", "--q", "5"],
+    ["modified", "--sigma", "1e-300", "--tau", "2e-300"],
+    ["modified", "--h", "1e-30", "--q", "12"],
+]
+
+# the exit path of a whole process, run as a child: one case each for exit 0,
+# 2 and 3, and argparse's own exit
+PROCESS_CASES = [
+    (["soliton", "--C", "-1e-3"], 0, None),
+    (["report", "--N", "5", "--m", "3"], 2, "too small for half-width 3"),
+    (["soliton", "--sigma", "1e300", "--verify"], 3, "numerical failure"),
+    (["coeffs", "--m", "x"], 2, "configuration error: argument --m: invalid int value"),
+]
+
+
 class TestFailureContract:
     """Bad input exits 2 and numerical failure 3, with no artifact written.
 
     Every message, warnings included, is one ``drpkit:`` line on stderr:
-    no traceback, no source location, no NumPy RuntimeWarning.
+    no traceback, no source location, no NumPy RuntimeWarning.  The cases
+    run ``cli.main`` in-process, with what native code writes to the file
+    descriptors captured as a child's stderr; ``PROCESS_CASES`` run a child
+    interpreter, for the exit path of the process itself.
     """
 
-    @pytest.mark.parametrize(
-        "command, code, message",
-        [
-            (["report", "--N", "5", "--m", "3"], 2, "too small for half-width 3"),
-            (["simulate", "--init", "gaussian", "--width", "0"], 2, "width must be"),
-            (["soliton", "--C1", "1e-320", "--verify"], 2, "C1 must be finite"),
-            (["soliton", "--C", "1e308", "--C1", "1e-300", "--json", "f.json"], 3, "non-finite"),
-            (["soliton", "--sigma", "1e300", "--verify"], 3, "numerical failure"),
-            (["simulate", "--N", "64", "--sigma", "5", "--steps", "1000",
-              "--snap-every", "1000"], 3, "by step 8"),
-            (["simulate", "--N", "64", "--sigma", "5", "--steps", "1000",
-              "--snap-every", "1"], 3, "by step 8"),
-            (["simulate", "--C1", "0.3"], 0, "drpkit: warning: kink width"),
-            (["simulate", "--C", "0", "--N", "64", "--steps", "10"], 2, "kink is constant"),
-            (["simulate", "--sigma", "1e300", "--N", "64", "--steps", "10"], 2,
-             "kink is constant"),
-            (["report", "--m", "3", "--C", "0"], 2, "kink is constant"),
-            (["report", "--snap-every", "0"], 2, "snap_every must be positive"),
-            (["soliton", "--C", "1e300", "--C1", "1e-10", "--verify"], 3, "non-finite"),
-            (["soliton", "--C", "1e308", "--C1", "1e-300"], 3, "non-finite"),
-            (["simulate", "--init", "gaussian", "--oracle", "--N", "64", "--sigma", "5",
-              "--steps", "1000", "--snap-every", "1000"], 3, "by step 8"),
-            (["modified", "--sigma", "1e200", "--p", "6", "--q", "12"], 3,
-             "tau**2 overflows a float at tau = 1e+200 (tau = sigma h / c, set by --sigma"),
-            (["soliton", "--sigma", "1e200", "--verify"], 3,
-             "v**2 overflows a float at v = 1.2732395447351627e+200 (v is the kink speed, "
-             "set by --sigma"),
-            (["report", "--tau", "1e-320", "--C1", "1e300", "--steps", "10", "--N", "64"], 2,
-             "denominator 2 C1 v^2 sigma underflows to zero"),
-            (["soliton", "--sigma", "1.7976931348623157e308", "--C1", "1e8"], 3,
-             "a0 = A - v is NaN at A = inf, v = inf"),
-            (["report", "--sigma", "1.7976931348623157e308", "--C1", "1e8", "--N", "64"], 3,
-             "a0 = A - v is NaN at A = inf, v = inf"),
-            (["modified", "--sigma", "1.7976931348623157e308", "--m", "3"], 3,
-             "u_x coefficient is inf"),
-            (["soliton", "--C", "-1e-3"], 0, None),
-            (["coeffs", "--m", "x"], 2, "configuration error: argument --m: invalid int value"),
-            (["modified", "--mu", "1e-200", "--re-h", "1e-200"], 2,
-             "configuration error: U0 = re_h mu / h underflows to zero"),
-            (["simulate", "--mu", "1e-200", "--re-h", "1e-200", "--N", "64", "--steps", "10"], 2,
-             "configuration error: U0 = re_h mu / h underflows to zero"),
-            (["modified", "--h", "1e-300", "--q", "3"], 2,
-             "configuration error: tau0 = h / U0 underflows to zero at h = 1e-300, "
-             "U0 = 9.999999999999999e+299"),
-            (["simulate", "--C", "-inf", "--N", "64", "--steps", "10"], 2,
-             "configuration error: C must be finite, got -inf"),
-            (["report", "--C", "-inf", "--steps", "10", "--N", "64"], 2,
-             "configuration error: C must be finite, got -inf"),
-            (["soliton", "--xi-max", "inf", "--verify"], 2,
-             "configuration error: xi_max must be finite, got inf"),
-            (["soliton", "--xi-samples", "-3", "--verify"], 2,
-             "configuration error: xi_samples must be nonnegative, got -3"),
-            (["soliton", "--V0", "inf", "--verify"], 2,
-             "configuration error: V0 must be finite, got inf"),
-            (["simulate", "--V0", "nan", "--N", "64", "--steps", "10"], 2,
-             "configuration error: V0 must be finite, got nan"),
-            (["report", "--V0", "inf", "--N", "64", "--steps", "10"], 2,
-             "configuration error: V0 must be finite, got inf"),
-            (["simulate", "--level", "nan", "--N", "64", "--steps", "10"], 2,
-             "configuration error: level must be finite, got nan"),
-            (["simulate", "--init", "constant", "--value", "inf", "--N", "64", "--steps", "10"], 2,
-             "configuration error: value must be finite, got inf"),
-            (["simulate", "--init", "gaussian", "--amplitude", "inf", "--N", "64",
-              "--steps", "10"], 2, "configuration error: amplitude must be finite, got inf"),
-            (["simulate", "--init", "gaussian", "--center", "nan", "--N", "64", "--steps", "10"],
-             2, "configuration error: center must be finite, got nan"),
-            (["simulate", "--init", "random", "--amplitude", "inf", "--N", "64", "--steps", "10"],
-             2, "configuration error: amplitude must be finite, got inf"),
-            (["simulate", "--init", "gaussian", "--amplitude", "1e300", "--N", "64",
-              "--steps", "10"], 3, "L2 norm of the initial field overflows"),
-            (["simulate", "--init", "mode", "--amplitude", "1e200", "--N", "64", "--steps", "20"],
-             3, "L2 norm of the initial field overflows"),
-            (["simulate", "--C", "1e150", "--C1", "0.3", "--N", "64", "--steps", "10"], 3,
-             "cross-correlation of the snapshot at t=0.0 with the kink template overflows"),
-            (["simulate", "--init", "random", "--seed", "-1", "--N", "64", "--steps", "10"], 2,
-             "configuration error: seed must be nonnegative, got -1"),
-            (["dispersion", "--samples", "100000000000000"], 2,
-             "configuration error: samples must be at most 16777216, got 100000000000000"),
-            (["report", "--samples", "100000000000000", "--no-sim"], 2,
-             "configuration error: samples must be at most 16777216, got 100000000000000"),
-            (["soliton", "--xi-samples", "100000000000000", "--verify"], 2,
-             "configuration error: xi_samples must be at most 16777216, got 100000000000000"),
-            (["simulate", "--N", "100000000000000", "--steps", "10"], 2,
-             "configuration error: N must be at most 16777216, got 100000000000000"),
-            (["report", "--samples", "1", "--no-sim"], 2,
-             "configuration error: samples must be at least 2, got 1"),
-            (["report", "--sigma", "5e-324", "--no-sim"], 2,
-             "configuration error: the u_t_t coefficient underflows to zero at tau = 5e-324 "
-             "(tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
-            (["report", "--tau", "5e-324", "--no-sim"], 2,
-             "configuration error: the u_t_t coefficient underflows to zero at tau = 5e-324 "
-             "(tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
-            (["modified", "--sigma", "5e-324", "--c", "5e-324"], 2,
-             "configuration error: the nondimensional u_t_t coefficient underflows to zero at "
-             "sigma = 5e-324 (tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
-            (["modified", "--sigma", "1e300", "--mu", "1e-10"], 3,
-             "nondimensional u_x coefficient is inf"),
-            (["modified", "--sigma", "1e300", "--re-h", "1e-10", "--json", "f.json"], 3,
-             "nondimensional u_x coefficient is inf"),
-            (["simulate", "--c", "1e300", "--N", "64", "--steps", "20"], 0, None),
-            (["modified", "--sigma", "1e-300", "--p", "4", "--q", "5"], 2,
-             "configuration error: the u_t_t_t coefficient underflows to zero at tau = 1e-300 "
-             "(tau = sigma h / c, set by --sigma or --tau, --h and --c)"),
-            (["modified", "--sigma", "1e-300", "--tau", "2e-300"], 2,
-             "configuration error: inconsistent dynamics: sigma=1e-300 but c*tau/h=2e-300"),
-            (["soliton", "--tau", "5e-324", "--h", "1e-150", "--mu", "1e-170"], 0, None),
-            (["modified", "--h", "1e-30", "--q", "12"], 2,
-             "configuration error: the u_x_x_x_x_x_x_x_x_x_x_x coefficient underflows to zero "
-             "at h = 1e-30 (set by --h)"),
-        ],
-    )
-    def test_exit_code_and_one_line_per_message(self, tmp_path, child_env, command, code, message):
-        proc = subprocess.run(
-            [sys.executable, "-m", "drpkit.cli", *command],
-            cwd=tmp_path,
-            env=child_env(DRPKIT_OUTPUT_DIR=None),
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == code, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
-        lines = proc.stderr.splitlines()
+    @staticmethod
+    def check_exit(tmp_path, run, code, message):
+        got, out, err = run
+        assert got == code, err
+        assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
+        lines = err.splitlines()
         assert all(line.startswith("drpkit: ") for line in lines), lines
         if message is None:
             assert not lines
@@ -632,54 +684,26 @@ class TestFailureContract:
             assert len(errors) == 1 and message in errors[0], lines
             assert not list(tmp_path.glob("*.json"))
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["simulate", "--C", "0", "--N", "64", "--steps", "10"],
-            ["simulate", "--sigma", "1e300", "--N", "64", "--steps", "10"],
-            ["report", "--m", "3", "--C", "0"],
-            ["soliton", "--C", "1e300", "--C1", "1e-10", "--verify"],
-            ["soliton", "--C", "1e308", "--C1", "1e-300"],
-            ["soliton", "--C", "1e308", "--C1", "1e-300", "--json", "f.json"],
-            ["modified", "--sigma", "1.7976931348623157e308", "--m", "3"],
-            ["coeffs", "--m", "x"],
-            ["modified", "--mu", "1e-200", "--re-h", "1e-200"],
-            ["simulate", "--mu", "1e-200", "--re-h", "1e-200", "--N", "64", "--steps", "10"],
-            ["modified", "--h", "1e-300", "--q", "3"],
-            ["simulate", "--C", "-inf", "--N", "64", "--steps", "10"],
-            ["report", "--C", "-inf", "--steps", "10", "--N", "64"],
-            ["soliton", "--xi-max", "inf", "--verify"],
-            ["soliton", "--xi-samples", "-3", "--verify"],
-            ["soliton", "--V0", "inf", "--verify"],
-            ["simulate", "--V0", "nan", "--N", "64", "--steps", "10"],
-            ["report", "--V0", "inf", "--N", "64", "--steps", "10"],
-            ["simulate", "--level", "nan", "--N", "64", "--steps", "10"],
-            ["simulate", "--init", "constant", "--value", "inf", "--N", "64", "--steps", "10"],
-            ["simulate", "--init", "gaussian", "--amplitude", "inf", "--N", "64", "--steps", "10"],
-            ["simulate", "--init", "gaussian", "--center", "nan", "--N", "64", "--steps", "10"],
-            ["simulate", "--init", "random", "--amplitude", "inf", "--N", "64", "--steps", "10"],
-            ["simulate", "--init", "gaussian", "--amplitude", "1e300", "--N", "64",
-             "--steps", "10"],
-            ["simulate", "--init", "mode", "--amplitude", "1e200", "--N", "64", "--steps", "20"],
-            ["simulate", "--C", "1e150", "--C1", "0.2", "--N", "64", "--steps", "10"],
-            ["simulate", "--init", "random", "--seed", "-1", "--N", "64", "--steps", "10"],
-            ["dispersion", "--samples", "100000000000000"],
-            ["report", "--samples", "100000000000000", "--no-sim"],
-            ["soliton", "--xi-samples", "100000000000000", "--verify"],
-            ["simulate", "--N", "100000000000000", "--steps", "10"],
-            ["report", "--samples", "1", "--no-sim"],
-            ["report", "--sigma", "5e-324", "--no-sim"],
-            ["report", "--tau", "5e-324", "--no-sim"],
-            ["modified", "--sigma", "5e-324", "--c", "5e-324"],
-            ["modified", "--sigma", "1e300", "--mu", "1e-10"],
-            ["modified", "--sigma", "1e300", "--re-h", "1e-10", "--json", "f.json"],
-            ["modified", "--sigma", "1e-300", "--p", "4", "--q", "5"],
-            ["modified", "--sigma", "1e-300", "--tau", "2e-300"],
-            ["modified", "--h", "1e-30", "--q", "12"],
-        ],
-    )
-    def test_failure_prints_and_writes_nothing(self, tmp_path, child_env, command):
+    @staticmethod
+    def check_nothing_written(tmp_path, run):
         # the check comes before the first snapshot file and the first stdout line
+        code, out, err = run
+        assert code in (2, 3), err
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, code, message", EXIT_CASES)
+    def test_exit_code_and_one_line_per_message(self, tmp_path, cli_in_process, command, code,
+                                                message):
+        self.check_exit(tmp_path, cli_in_process(tmp_path, command), code, message)
+
+    @pytest.mark.parametrize("command", WRITES_NOTHING)
+    def test_failure_prints_and_writes_nothing(self, tmp_path, cli_in_process, command):
+        self.check_nothing_written(tmp_path, cli_in_process(tmp_path, command))
+
+    @pytest.mark.parametrize("command, code, message", PROCESS_CASES)
+    def test_exit_path_of_the_process(self, tmp_path, child_env, command, code, message):
         proc = subprocess.run(
             [sys.executable, "-m", "drpkit.cli", *command],
             cwd=tmp_path,
@@ -687,10 +711,10 @@ class TestFailureContract:
             capture_output=True,
             text=True,
         )
-        assert proc.returncode in (2, 3), proc.stderr
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1, proc.stderr
-        assert not list(tmp_path.iterdir())
+        run = (proc.returncode, proc.stdout, proc.stderr)
+        self.check_exit(tmp_path, run, code, message)
+        if code:
+            self.check_nothing_written(tmp_path, run)
 
     def test_subnormal_tau_leaves_the_nondimensional_results_alone(self, tmp_path, capsys):
         # a subnormal tau (from --tau, or from the largest --c) once overflowed

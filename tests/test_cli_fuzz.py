@@ -12,16 +12,12 @@ command line or into a config file.  Counts are drawn small or above
 ``MAX_COUNT`` only, so that no example runs a large grid or a long run.
 """
 
-import contextlib
-import io
 import json
-import os
 import re
 import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -73,43 +69,6 @@ def invocations(draw):
     return argv, ("[drpkit]\n" + "\n".join(keys) + "\n") if keys else None
 
 
-@contextlib.contextmanager
-def file_descriptors_to(sink):
-    """Send what native code writes to file descriptors 1 and 2 into ``sink``."""
-    saved = [os.dup(1), os.dup(2)]
-    os.dup2(sink.fileno(), 1)
-    os.dup2(sink.fileno(), 2)
-    try:
-        yield
-    finally:
-        for fd, copy in zip((1, 2), saved):
-            os.dup2(copy, fd)
-            os.close(copy)
-
-
-def run_in(workdir, argv):
-    """Exit code, stdout and stderr of ``cli.main(argv)`` run in ``workdir``.
-
-    What native code writes to the file descriptors (LAPACK's messages, for
-    one) is appended to stderr, where a child process would show it.
-    """
-    out, err = io.StringIO(), io.StringIO()
-    old = Path.cwd()
-    os.chdir(workdir)
-    try:
-        with tempfile.TemporaryFile() as native, file_descriptors_to(native), \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse, which also prints the line
-                code = exc.code
-            native.seek(0)
-            err.write(native.read().decode(errors="replace"))
-    finally:
-        os.chdir(old)
-    return code, out.getvalue(), err.getvalue()
-
-
 def reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -118,10 +77,9 @@ def load_schema(name):
     return json.loads(resources.files("drpkit").joinpath(f"schemas/{name}").read_text())
 
 
-def check_contract(invocation):
+def check_contract(run_in, invocation):
     argv, config = invocation
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
-        os.environ.pop("DRPKIT_OUTPUT_DIR", None)
+    with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp) / "run"
         workdir.mkdir()
         if config is not None:
@@ -152,6 +110,6 @@ def check_contract(invocation):
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(invocations())
-def test_any_invocation_keeps_the_failure_contract(invocation):
-    check_contract(invocation)
+@given(invocation=invocations())
+def test_any_invocation_keeps_the_failure_contract(cli_in_process, invocation):
+    check_contract(cli_in_process, invocation)

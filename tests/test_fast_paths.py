@@ -2,10 +2,10 @@
 
 Each reference below is the straightforward version of a hot path: a
 roll-based stepper, the np.mod kink template, the per-node crossing loop,
-the per-row snapshot formatter, the persistence fit that searched one
-snapshot at a time with one template per evaluation, the Poly arithmetic
-that built a Poly object per term, and the soliton payload that solved
-each coefficient system twice.  The fast paths keep the same
+the per-row snapshot and dispersion formatters, the persistence fit that
+searched one snapshot at a time with one template per evaluation, the Poly
+arithmetic that built a Poly object per term, and the soliton payload that
+solved each coefficient system twice.  The fast paths keep the same
 floating-point operations in the same order, so they must agree bit for
 bit, signed zeros included.
 """
@@ -665,9 +665,9 @@ class TestSolverAndPayload:
 class TestDispersionRows:
     @pytest.mark.parametrize("m", (1, 2, 5, 9))
     @pytest.mark.parametrize("n", (2, 3, 100, 101, 1001))
-    def test_rows_match_per_sample_reference(self, m, n):
+    def test_rows_match_per_sample_reference(self, tmp_path, m, n):
         coeffs = optimize_coefficients(m)
-        rows = dispersion_samples(coeffs, n)
+        table = dispersion_samples(coeffs, n)
         if n % 2:
             half = np.linspace(0.0, math.pi / 2.0, (n + 1) // 2)
             zetas = np.concatenate([-half[:0:-1], half])
@@ -675,6 +675,14 @@ class TestDispersionRows:
             zetas = np.linspace(-math.pi / 2.0, math.pi / 2.0, n)
         lams = effective_wavenumber(coeffs, zetas)
         want = [(cli._fmt(z), cli._fmt(l), cli._fmt(z - l)) for z, l in zip(zetas, lams)]
-        got = [(repr(r.zeta), repr(r.lambda_bar_h), repr(r.error)) for r in rows]
+        got = [tuple(map(repr, row)) for row in zip(*(column.tolist() for column in table))]
         assert got == want
-        assert all(type(x) is float for r in rows for x in (r.zeta, r.lambda_bar_h, r.error))
+        assert all(column.dtype == np.float64 for column in table)
+        # the per-row formatter the CSV was written with, over Python floats
+        body = "\n".join([
+            f"# m={m} samples={n}", "zeta,lambda_bar_h,error",
+            *(f"{z!r},{l!r},{z - l!r}" for z, l in zip(zetas.tolist(), lams.tolist())),
+        ]) + "\n"
+        path = tmp_path / "d.csv"
+        assert cli.main(["dispersion", "--m", str(m), "--samples", str(n), "--csv", str(path)]) == 0
+        assert path.read_text() == body

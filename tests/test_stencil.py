@@ -198,16 +198,15 @@ class TestIntegratedError:
 
 class TestDispersionSamples:
     def test_grid_and_oddness(self, m1_coeffs):
-        rows = dispersion_samples(m1_coeffs, 101)
-        assert rows[0].zeta == -PI / 2
-        assert rows[-1].zeta == PI / 2
-        mid = rows[50]
-        assert mid.zeta == 0.0 and mid.lambda_bar_h == 0.0 and mid.error == 0.0
-        assert rows[-1].lambda_bar_h == pytest.approx(4.0 / PI, abs=1e-15)
+        table = dispersion_samples(m1_coeffs, 101)
+        assert table.zeta[0] == -PI / 2
+        assert table.zeta[-1] == PI / 2
+        assert table.zeta[50] == 0.0 and table.lambda_bar_h[50] == 0.0 and table.error[50] == 0.0
+        assert table.lambda_bar_h[-1] == pytest.approx(4.0 / PI, abs=1e-15)
 
     def test_error_grows_toward_band_edge(self, m1_coeffs):
         # the signed mismatch zeta - lambda_bar_h is strictly increasing once
         # cos(zeta) drops below pi/4, i.e. over the whole outer band
-        rows = dispersion_samples(m1_coeffs, 201)
-        errs = [r.error for r in rows if r.zeta >= 0.7]
+        table = dispersion_samples(m1_coeffs, 201)
+        errs = table.error[table.zeta >= 0.7].tolist()
         assert all(b > a for a, b in zip(errs, errs[1:]))

@@ -218,12 +218,7 @@ class TestPinnedUnknowns:
                         if resolved:
                             assert_branches_sound(system, resolved, rng, draws=3)
         assert solves == 484
-        # no more unresolved solves than the one known gap: with U1 = 0 and C
-        # pinned to a nonzero number, the derived encoding keeps two
-        # proportional equations that the sum and difference of a pair do
-        # not reduce
-        known_gap = [
-            ("derived", {"U1": 0.0, "C": drawn["C"]}),
-            ("derived", {"U1": 0.0, "V1": 0.0, "C": drawn["C"]}),
-        ]
-        assert all(case in known_gap for case in unresolved), unresolved
+        # every pin closes, the last gap included: with U1 = 0 and C pinned to
+        # a nonzero number, the derived encoding keeps V0 (A - v) = C twice,
+        # which the split on v = A closes with V0 = C / (A - v)
+        assert unresolved == []
