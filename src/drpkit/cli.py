@@ -9,10 +9,10 @@ configuration is echoed into every JSON artifact.  Exit codes: 0 success,
 $DRPKIT_OUTPUT_DIR when it is set.
 
 All artifacts are deterministic: floats are written with full round-trip
-precision as repr writes them (both CSV artifacts, the snapshots and the
-dispersion table, take repr's text from orjson), JSON keys are sorted, and
-nothing records wall-clock time, so fixed configs produce byte-identical
-files.
+precision as repr writes them (every artifact, CSV and JSON, takes repr's
+text from orjson through one rule for the magnitude bands where orjson lays
+a float out differently), JSON keys are sorted, and nothing records
+wall-clock time, so fixed configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import re
@@ -107,12 +106,86 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
+def _positional_as_repr(text: str) -> str:
+    sign, _, digits = text.partition("0.0000")
+    return f"{sign}{digits[0]}.{digits[1:]}e-05" if digits[1:] else f"{sign}{digits}e-05"
+
+
+#: The magnitude bands [low, high) in which orjson lays out a float's
+#: shortest round-trip digits unlike ``repr``, each with the rewrite of its
+#: text to repr's: positionally (``0.0000ddd``), a one-digit negative
+#: exponent without its leading zero (``e-7``), and a positive exponent
+#: without its sign (``e16``).  Zeros of both signs, [1e-4, 1e16) and
+#: everything below 1e-9 orjson writes as repr does.  The CSV and the JSON
+#: artifacts both read this one table.
+_RELAID_BANDS = (
+    (1e-5, 1e-4, _positional_as_repr),
+    (1e-9, 1e-5, lambda text: text.replace("e-", "e-0")),
+    (1e16, math.inf, lambda text: text.replace("e", "e+")),
+)
+
+
+def _gather_floats(node, out: list):
+    """Append every float under a dict, list or tuple to ``out``, NumPy float64s included."""
+    for item in node.values() if isinstance(node, dict) else node:
+        if isinstance(item, float):
+            out.append(item)
+        elif isinstance(item, (dict, list, tuple)):
+            _gather_floats(item, out)
+
+
+#: A number token of orjson's indented text that may lie in a band of
+#: ``_RELAID_BANDS``, with the space before it: it ends its line, and is
+#: written with an exponent or with four zeros after the point.
+_RELAID_TOKEN = re.compile(r" -?(?:0\.0000\d+|\d[\d.]*e-?\d+)(?=,?\n)")
+
+
 def _json_text(payload: dict) -> str:
-    """The artifact text of a payload; NonFiniteResultError if it holds NaN or an infinity."""
+    """The artifact text of a payload; NonFiniteResultError if it holds NaN or an infinity.
+
+    The text is ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False)`` and a newline, rendered by orjson.  orjson would
+    write NaN and the infinities as ``null``, so every float is checked
+    first.  Its number tokens then differ from repr's only in the bands of
+    ``_RELAID_BANDS``; in the indented text each number follows a space and
+    ends a line, and no string holds a raw newline, so one pass over the
+    text replaces each such token whole, looked up among the texts of the
+    payload's own floats in those bands.  The two escape every ASCII
+    character alike, but json.dumps escapes DEL and all non-ASCII
+    characters, which orjson writes as they are: they agree because every
+    string a payload holds is ASCII below DEL (keys, option choices, the
+    backend name, and the branch and summary texts the solver builds from
+    symbol names and ``repr``).  orjson refuses integers beyond 64 bits,
+    which a ``--seed`` may be; a payload it refuses is rendered by
+    json.dumps itself.
+    """
+    # imported here, so commands that write no artifact do not pay for it
+    import orjson
+
+    floats: list = []
+    _gather_floats(payload, floats)
+    values = np.array(floats, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise NonFiniteResultError("non-finite number in the result; nothing written")
     try:
+        text = orjson.dumps(
+            payload,
+            option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY,
+        ).decode()
+    except orjson.JSONEncodeError:
+        import json
+
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise NonFiniteResultError("non-finite number in the result; nothing written") from exc
+    magnitude = np.abs(values)
+    relaid = {}
+    for low, high, as_repr in _RELAID_BANDS:
+        band = values[(magnitude >= low) & (magnitude < high)]
+        if band.size:
+            tokens = orjson.dumps(band, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+            relaid.update((f" {token}", f" {as_repr(token)}") for token in tokens.split(","))
+    if relaid:
+        text = _RELAID_TOKEN.sub(lambda token: relaid.get(token[0], token[0]), text)
+    return text + "\n"
 
 
 def _write_json(path: Path, payload: dict):
@@ -432,9 +505,7 @@ def _soliton_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_samples
             "limit": -C,
         }
         derived_branches = wave.solve_system(derived)
-        condensed_branches = wave.solve_system(
-            wave.condensed_coefficient_system(params, coeffs, sol.C1)
-        )
+        condensed_branches = wave.solve_system(report.system)
         payload["branches"] = {
             "derived": [b.to_json() for b in derived_branches],
             "condensed": [b.to_json() for b in condensed_branches],
@@ -521,14 +592,11 @@ def _float_texts(values) -> list[str]:
     """``repr(float(v))`` of every finite element of ``values``, in order.
 
     orjson writes the same shortest round-trip digits as ``repr`` at a
-    fraction of the cost, and lays them out differently in two magnitude
-    bands, which are rewritten here: it writes [1e-5, 1e-4) positionally
-    (``0.0000ddd``), a one-digit negative exponent without its leading zero
-    (``e-7``) and a positive exponent without its sign (``e16``).  Zeros of
-    both signs, [1e-4, 1e16) and everything below 1e-9 it writes as ``repr``
-    does.  A NaN or an infinity would come out as ``null``.
+    fraction of the cost; the texts in the bands of ``_RELAID_BANDS``, where
+    its layout differs, are rewritten to repr's.  A NaN or an infinity would
+    come out as ``null``.
     """
-    # imported here, so commands that write no CSV do not pay for it
+    # imported here, so commands that write no artifact do not pay for it
     import orjson
 
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -536,13 +604,9 @@ def _float_texts(values) -> list[str]:
         return []
     texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     magnitude = np.abs(values)
-    for i in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
-        sign, _, digits = texts[i].partition("0.0000")
-        texts[i] = f"{sign}{digits[0]}.{digits[1:]}e-05" if digits[1:] else f"{sign}{digits}e-05"
-    for i in np.flatnonzero((magnitude >= 1e-9) & (magnitude < 1e-5)).tolist():
-        texts[i] = texts[i].replace("e-", "e-0")
-    for i in np.flatnonzero(magnitude >= 1e16).tolist():
-        texts[i] = texts[i].replace("e", "e+")
+    for low, high, as_repr in _RELAID_BANDS:
+        for i in np.flatnonzero((magnitude >= low) & (magnitude < high)).tolist():
+            texts[i] = as_repr(texts[i])
     return texts
 
 

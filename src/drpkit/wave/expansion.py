@@ -166,11 +166,16 @@ def evaluate_system(system: CoefficientSystem, values: dict[str, float]) -> np.n
 
 @dataclass(frozen=True)
 class CondensedSystemReport:
-    """Residuals of the closed-form kink in the condensed system."""
+    """Residuals of the closed-form kink in the condensed system.
+
+    ``system`` is the condensed system the residuals were evaluated in, so
+    a caller that goes on to solve it need not build it again.
+    """
 
     ok: bool
     residuals: tuple[float, ...]
     values: dict[str, float]
+    system: CoefficientSystem
 
 
 def verify_condensed_system(
@@ -191,4 +196,6 @@ def verify_condensed_system(
     values = {"U1": kink.U1, "V1": 0.0, "V0": kink.V0, "v": kink.v, "C": C}
     res = evaluate_system(system, values)
     ok = bool(np.max(np.abs(res)) <= _TOL)
-    return CondensedSystemReport(ok=ok, residuals=tuple(float(r) for r in res), values=values)
+    return CondensedSystemReport(
+        ok=ok, residuals=tuple(float(r) for r in res), values=values, system=system
+    )

@@ -17,6 +17,8 @@ from ..errors import PowerOverflowError
 
 SYMBOLS = ("U1", "V1", "V0", "v", "C")
 _INDEX = {name: i for i, name in enumerate(SYMBOLS)}
+# the exponent of each symbol in a monomial
+_EXPONENT = tuple(operator.itemgetter(i) for i in range(len(SYMBOLS)))
 _ZERO_MONO = (0,) * len(SYMBOLS)
 
 #: Magnitude below which a numerically produced constant counts as zero.
@@ -101,14 +103,28 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, Poly):
+            right = other.terms
+        elif isinstance(other, (int, float)):
+            # the terms of Poly.const(other), without building the Poly
+            k = float(other)
+            right = {_ZERO_MONO: k} if k != 0.0 else {}
+        else:
             return NotImplemented
+        left = self.terms
+        # by a constant: the loop below with every monomial met once, so
+        # each coefficient is 0.0 + c1 * c2, in the same order
+        if len(right) == 1 and _ZERO_MONO in right:
+            k = right[_ZERO_MONO]
+            return Poly._trusted({m: 0.0 + c * k for m, c in left.items()})
+        if len(left) == 1 and _ZERO_MONO in left:
+            k = left[_ZERO_MONO]
+            return Poly._trusted({m: 0.0 + k * c for m, c in right.items()})
         out: dict[tuple[int, ...], float] = {}
         get = out.get
         add = operator.add
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
+        right = right.items()
+        for m1, c1 in left.items():
             for m2, c2 in right:
                 mono = tuple(map(add, m1, m2))
                 out[mono] = get(mono, 0.0) + c1 * c2
@@ -169,8 +185,14 @@ class Poly:
         })
 
     def substitute(self, name: str, value) -> "Poly":
-        """Replace one symbol by a number or another Poly."""
+        """Replace one symbol by a number or another Poly.
+
+        A polynomial free of the symbol is returned itself: the terms would
+        come out the same, and no Poly's terms change after it is built.
+        """
         idx = _check_symbol(name)
+        if not any(map(_EXPONENT[idx], self.terms)):
+            return self
         # group by power so repl**k is computed once per power; within one
         # power the reduced monomials are distinct
         powers: dict[int, dict[tuple[int, ...], float]] = {}
@@ -216,26 +238,30 @@ class Poly:
         with Poly coefficients.  Remainders are compared against zero with a
         small tolerance relative to the coefficient scale.
         """
-        _check_symbol(name)
-        deg = self.degree(name)
+        idx = _check_symbol(name)
+        powers = list(map(_EXPONENT[idx], self.terms))
+        deg = max(powers, default=-1)
         if deg < 1:
-            return None if not self.is_zero() else Poly()
-        coeffs = [self.coefficient_poly(name, k) for k in range(deg + 1)]
+            return None if self.terms else Poly()
+        # coefficient_poly(name, k) for every k, from one pass over the terms
+        coeffs: list[dict[tuple[int, ...], float]] = [{} for _ in range(deg + 1)]
+        for (mono, coeff), k in zip(self.terms.items(), powers):
+            coeffs[k][mono[:idx] + (0,) + mono[idx + 1:]] = coeff
         quot: list[Poly] = [Poly()] * deg
-        carry = coeffs[deg]
+        carry = Poly._trusted(coeffs[deg])
         for k in range(deg - 1, -1, -1):
             quot[k] = carry
-            carry = coeffs[k] + carry * root
-        scale = max((abs(c) for c in self.terms.values()), default=1.0)
+            carry = Poly._trusted(coeffs[k]) + carry * root
+        scale = max(map(abs, self.terms.values()), default=1.0)
         if not carry.is_zero(tol=COEFF_TOL * max(1.0, scale, abs(root))):
             return None
-        out = Poly()
-        unit = Poly.var(name)
-        acc = Poly.const(1.0)
+        # the sum of quot[k] * name**k: no quot[k] holds name, so each k's
+        # terms shift to their own power of it and none collide
+        out: dict[tuple[int, ...], float] = {}
         for k in range(deg):
-            out = out + quot[k] * acc
-            acc = acc * unit
-        return out
+            for mono, coeff in quot[k].terms.items():
+                out[mono[:idx] + (k,) + mono[idx + 1:]] = coeff
+        return Poly._trusted(out)
 
     def divide_symbol(self, name: str) -> "Poly | None":
         """Exact quotient by ``name`` when every term contains it, else None."""

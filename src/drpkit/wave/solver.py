@@ -33,6 +33,9 @@ from .poly import SYMBOLS, Poly, Rational
 #: Splits a branch may take before it is returned unresolved.
 _MAX_DEPTH = 24
 
+#: The monomial of each unknown alone, in the order of SYMBOLS.
+_UNITS = tuple(tuple(int(i == j) for i in range(len(SYMBOLS))) for j in range(len(SYMBOLS)))
+
 
 def _substitute_rational_into_eq(eq: Poly, name: str, num: Poly, den: Poly) -> Poly:
     """Replace name by num/den in an equation and clear the denominator."""
@@ -166,22 +169,23 @@ class _Solver:
     def _propagate(self, eqs, assignments, constraints):
         while True:
             kept = []
-            seen = set()
+            seen = []  # the terms of the kept equations; dicts compare by content
             for eq in eqs:
                 cv = eq.constant_value()
                 if cv is not None:
                     if abs(cv) > self.ztol:
                         return None
                     continue
-                key = frozenset(eq.terms.items())
-                if key not in seen:
-                    seen.add(key)
+                if eq.terms not in seen:
+                    seen.append(eq.terms)
                     kept.append(eq)
             eqs = kept
             assigned = None
             for eq in eqs:
-                for name in SYMBOLS:
-                    if name in assignments or eq.degree(name) != 1:
+                # the degree in each symbol, from one pass over the monomials; a
+                # numeric coefficient of a symbol needs the symbol's own monomial
+                for name, unit, degree in zip(SYMBOLS, _UNITS, map(max, zip(*eq.terms))):
+                    if degree != 1 or name in assignments or unit not in eq.terms:
                         continue
                     coeff = eq.coefficient_poly(name, 1).constant_value()
                     if coeff is None or abs(coeff) <= self.ztol:
@@ -308,8 +312,7 @@ class _Solver:
         if cv is not None:
             # guard: a zero combination is no progress; a nonzero one is a contradiction
             return abs(cv) > self.ztol
-        key = frozenset(p.terms.items())
-        if any(frozenset(eq.terms.items()) == key for eq in eqs):
+        if any(eq.terms == p.terms for eq in eqs):
             return False  # guard: an equation already present is no progress
         if len(p.variables()) == 1:
             return True

@@ -201,6 +201,20 @@ class TestSimulate:
         assert payload["shape_error_series"][0]["error"] <= 1e-9
         assert len(payload["norm_series"]) == 5
 
+    @pytest.mark.parametrize("init, option", [("random", "--seed"), ("mode", "--mode-p")])
+    def test_integer_beyond_64_bits_is_echoed(self, tmp_path, init, option):
+        big = 2**64
+        code = run_cli(
+            ["simulate", "--init", init, option, str(big), "--N", "16", "--steps", "2",
+             "--snap-every", "2", "--outdir", "out"],
+            tmp_path,
+        )
+        assert code == 0
+        text = (tmp_path / "out" / "measurements.json").read_text()
+        payload = json.loads(text)
+        assert big in payload["config"].values()
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     def test_oracle_matches_stepping(self, tmp_path):
         common = ["simulate", "--init", "gaussian", "--N", "64", "--steps", "30",
                   "--snap-every", "10", "--width", "8"]

@@ -2,16 +2,19 @@
 
 Each reference below is the straightforward version of a hot path: a
 roll-based stepper, the np.mod kink template, the per-node crossing loop,
-the per-row snapshot and dispersion formatters, the persistence fit that
-searched one snapshot at a time with one template per evaluation, the Poly
-arithmetic that built a Poly object per term, and the soliton payload that
-solved each coefficient system twice.  The fast paths keep the same
-floating-point operations in the same order, so they must agree bit for
-bit, signed zeros included.
+the per-row snapshot and dispersion formatters, the JSON text of
+``json.dumps``, the persistence fit that searched one snapshot at a time
+with one template per evaluation, the Poly arithmetic that built a Poly
+object per term (and the loops that products by a constant, synthetic
+division and substitution ran before their fast paths), and the soliton
+payload that solved each coefficient system twice.  The fast paths keep the
+same floating-point operations in the same order, so they must agree bit
+for bit, signed zeros included.
 """
 
 import json
 import math
+import operator
 import struct
 
 import numpy as np
@@ -26,7 +29,8 @@ from drpkit.sim import measure
 from drpkit.sim.measure import _rising_crossings
 from drpkit.stencil import dispersion_samples, effective_wavenumber, optimize_coefficients
 from drpkit.wave.ansatz import KinkSolution
-from drpkit.wave.poly import SYMBOLS, Poly
+from drpkit.errors import NonFiniteResultError
+from drpkit.wave.poly import SYMBOLS, Poly, _substitute_number
 
 
 def reference_step_many(u, gamma, coef, n_steps):
@@ -284,6 +288,79 @@ class TestFloatTexts:
         assert cli._float_texts(arr[::2]) == list(map(repr, arr[::2].tolist()))
 
 
+def reference_json_text(payload):
+    """The JSON artifact text as json.dumps writes it."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_LARGEST = 1.7976931348623157e308
+# every layout band edge and its neighbours, the subnormal and largest floats
+# with theirs, and both zeros
+JSON_EDGE_FLOATS = layout_boundaries() + [1e-323, -1e-323, float(np.nextafter(_LARGEST, 0.0)),
+                                          -_LARGEST]
+JSON_FLOATS = st.one_of(st.sampled_from(JSON_EDGE_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))
+# ASCII below DEL, control characters and quotes included
+JSON_STRINGS = st.one_of(
+    st.text(st.characters(max_codepoint=126), max_size=12),
+    st.sampled_from(["v != 1e-07", "0.00001,", " 1e-7,\n", "1e16", "-0.0", " 0.00003\n"]),
+)
+JSON_KEYS = st.one_of(st.sampled_from(["C", "c", "V0", "v0", "v", "V", "U1"]), JSON_STRINGS)
+JSON_LEAVES = st.one_of(
+    # orjson's 64-bit range, and integers beyond it, which json.dumps also writes
+    st.none(), st.booleans(), st.integers(-(2**63), 2**64 - 1),
+    st.sampled_from([2**64, -(2**63) - 1, 10**30, -(10**30)]),
+    JSON_FLOATS, JSON_FLOATS.map(np.float64), JSON_STRINGS,
+)
+JSON_PAYLOADS = st.dictionaries(JSON_KEYS, st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=5),
+    ),
+    max_leaves=24,
+), max_size=6)
+
+
+class TestJsonText:
+    """The orjson text of a payload is json.dumps's, and it refuses what json.dumps refuses."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(JSON_PAYLOADS)
+    @example({"x": JSON_EDGE_FLOATS, "C": [np.float64(x) for x in JSON_EDGE_FLOATS],
+              "c": {"v != 1e-07": "0.00001,", "e": [], "d": {}, "t": (1e-7, 1e16)}})
+    def test_matches_json_dumps(self, payload):
+        assert cli._json_text(payload) == reference_json_text(payload)
+
+    def test_many_distinct_band_floats(self):
+        # one pass over the text, whatever the number of floats to relay out
+        rng = np.random.default_rng(11)
+        exponents = rng.uniform(-9.0, -4.0, 200_000)
+        band = (rng.choice([-1.0, 1.0], exponents.size) * 10.0**exponents).tolist()
+        payload = {"xi": band, "big": (10.0 ** rng.uniform(16.0, 300.0, 1000)).tolist(),
+                   "rows": [{"x": x, "y": np.float64(-x)} for x in band[:5000]]}
+        assert cli._json_text(payload) == reference_json_text(payload)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        JSON_PAYLOADS,
+        st.sampled_from([math.nan, math.inf, -math.inf,
+                         np.float64("nan"), np.float64("inf"), np.float64("-inf")]),
+        st.lists(st.sampled_from([list, tuple, dict]), max_size=4),
+        JSON_KEYS,
+    )
+    def test_non_finite_at_any_depth_raises(self, payload, bad, wrappers, key):
+        node = bad
+        for wrap in wrappers:
+            node = {"k": node} if wrap is dict else wrap([1.5, node])
+        payload = {**payload, key: node}
+        with pytest.raises(ValueError):
+            reference_json_text(payload)
+        with pytest.raises(NonFiniteResultError):
+            cli._json_text(payload)
+
+
 class TestPersistence:
     @staticmethod
     def assert_matches_reference(history, grid, sol):
@@ -505,13 +582,77 @@ def reference_payload(params, echo, coeffs, C, C1, V0, verify, xi_max, xi_sample
     return payload
 
 
+# the loops that products by a constant, synthetic division and
+# substitution ran before their fast paths, verbatim but for the method form
+
+
+def parent_mul(p, q):
+    q = Poly._coerce(q)
+    out = {}
+    get = out.get
+    add = operator.add
+    right = q.terms.items()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in right:
+            mono = tuple(map(add, m1, m2))
+            out[mono] = get(mono, 0.0) + c1 * c2
+    return Poly._trusted(out)
+
+
+def parent_substitute(p, name, value):
+    idx = SYMBOLS.index(name)
+    powers = {}
+    for mono, coeff in p.terms.items():
+        k = mono[idx]
+        group = powers.get(k)
+        if group is None:
+            group = powers[k] = {}
+        group[mono[:idx] + (0,) + mono[idx + 1:]] = coeff
+    if not isinstance(value, Poly):
+        c = float(value)
+        if math.isfinite(c):
+            return Poly._trusted(_substitute_number(powers, c))
+        value = Poly.const(c)
+    result = Poly()
+    acc = Poly.const(1.0)
+    last = 0
+    for k in sorted(powers):
+        for _ in range(k - last):
+            acc = parent_mul(acc, value)
+        last = k
+        result = result + parent_mul(Poly._trusted(powers[k]), acc)
+    return result
+
+
+def parent_divide_linear(p, name, root):
+    deg = p.degree(name)
+    if deg < 1:
+        return None if not p.is_zero() else Poly()
+    coeffs = [p.coefficient_poly(name, k) for k in range(deg + 1)]
+    quot = [Poly()] * deg
+    carry = coeffs[deg]
+    for k in range(deg - 1, -1, -1):
+        quot[k] = carry
+        carry = coeffs[k] + parent_mul(carry, root)
+    scale = max((abs(c) for c in p.terms.values()), default=1.0)
+    if not carry.is_zero(tol=wave.poly.COEFF_TOL * max(1.0, scale, abs(root))):
+        return None
+    out = Poly()
+    unit = Poly.var(name)
+    acc = Poly.const(1.0)
+    for k in range(deg):
+        out = out + parent_mul(quot[k], acc)
+        acc = parent_mul(acc, unit)
+    return out
+
+
 def use_reference_poly(monkeypatch):
-    """Route every changed Poly operation through its per-term reference."""
+    """Route every changed Poly operation through its per-term or parent reference."""
     for attr, fn in (
         ("__add__", reference_add), ("__radd__", reference_add), ("__neg__", reference_neg),
         ("__mul__", reference_mul), ("__rmul__", reference_mul),
         ("coefficient_poly", reference_coefficient_poly), ("substitute", reference_substitute),
-        ("divide_symbol", reference_divide_symbol),
+        ("divide_symbol", reference_divide_symbol), ("divide_linear", parent_divide_linear),
     ):
         monkeypatch.setattr(Poly, attr, fn)
     monkeypatch.setattr(Poly, "const", staticmethod(reference_const))
@@ -633,6 +774,68 @@ class TestPolyArithmetic:
             got = p.substitute("v", value)
             assert bits(got) == bits(reference_substitute(p, "v", value))
             assert got.terms == {(1, 0, 0, 0, 0): 2.0}
+
+
+CONSTANTS = (0.0, -0.0) + COEFF_POOL
+ROOTS = (0.0, 1.0, -1.0, 0.37, -2.5, 1e-200, 1e200, 5e-324, 0.42518)
+
+
+class TestPolyFastPaths:
+    """Products by a constant, synthetic division and substitution against the parent loops."""
+
+    def test_mul_by_a_constant_matches_parent(self):
+        with np.errstate(all="ignore"):
+            for p, q in poly_pairs(6, 300):
+                for k in CONSTANTS:
+                    const = Poly.const(k)
+                    assert bits(p * k) == bits(parent_mul(p, k))
+                    assert bits(k * p) == bits(parent_mul(p, k))
+                    assert bits(const * q) == bits(parent_mul(const, q))
+                    assert bits(q * const) == bits(parent_mul(q, const))
+                    assert bits(const * Poly.const(-3.0)) == bits(parent_mul(const, -3.0))
+
+    def test_divide_linear_matches_parent(self):
+        rng = np.random.default_rng(7)
+        with np.errstate(all="ignore"):
+            for i in range(300):
+                p = random_poly(rng, max_terms=8, max_exp=3)
+                for name in SYMBOLS:
+                    for root in ROOTS:
+                        # every other one has the factor (name - root)
+                        if i % 2:
+                            p_root = parent_mul(p, Poly.var(name) - root)
+                        else:
+                            p_root = p
+                        got = p_root.divide_linear(name, root)
+                        want = parent_divide_linear(p_root, name, root)
+                        assert (got is None) == (want is None), (p_root, name, root)
+                        if got is not None:
+                            assert bits(got) == bits(want), (p_root, name, root)
+
+    def test_substitute_matches_parent(self):
+        rng = np.random.default_rng(8)
+        values = SUBSTITUTE_VALUES + (Poly.var("V1") - 0.5, Poly.const(2.0), Poly())
+        with np.errstate(all="ignore"):
+            for _ in range(300):
+                p = random_poly(rng, max_terms=8, max_exp=3)
+                for name in SYMBOLS:
+                    for value in values:
+                        got = p.substitute(name, value)
+                        assert bits(got) == bits(parent_substitute(p, name, value))
+                        if name not in p.variables():
+                            assert got is p
+
+    def test_no_operation_changes_a_polys_terms(self):
+        # substitute may hand back its own Poly, so no operation may write
+        # the terms of the Polys it reads
+        with np.errstate(all="ignore"):
+            for p, q in poly_pairs(9, 100):
+                before = (bits(p), bits(q))
+                for name in SYMBOLS:
+                    p.substitute(name, q), p.substitute(name, 0.5), p.divide_linear(name, 0.5)
+                    p.coefficient_poly(name, 1), p.divide_symbol(name)
+                p + q, p - q, p * q, -p, 2.0 * p, p * Poly.const(-1.5)
+                assert (bits(p), bits(q)) == before
 
 
 class TestSolverAndPayload:

@@ -4,10 +4,12 @@ Both encodings of the coefficient system are rebuilt in sympy with exact
 rational parameters: the derived one by letting sympy expand the
 traveling-wave ODE with the tanh/sech ansatz, the condensed one from its
 definition.
-Over the seeded draws shared with the fast-path tests, every point sampled
-from a drpkit branch must zero the sympy equations, and every solution
-family sympy finds, with its free unknowns drawn at random, must lie in
-some drpkit branch.
+Over the seeded draws shared with the fast-path tests, and the same
+systems again with the amplitude pinned to U1 = 0 and the integration
+constant to a drawn nonzero C, every point sampled from a drpkit branch
+must zero the sympy equations, and every solution family sympy finds, with
+its free unknowns drawn at random, must lie in some drpkit branch.  sympy
+solves the equations' lex Groebner basis, which has the same solutions.
 """
 
 import math
@@ -63,6 +65,24 @@ def sympy_equations(templates, system, fixed):
     return [sp.expand(eq.subs(exact)) for eq in templates[system.encoding]]
 
 
+def pinned_amplitude_draws(system_draws):
+    """Each draw's systems again, with U1 = 0 and C pinned to a drawn nonzero value."""
+    rng = np.random.default_rng(20261020)
+    return [
+        {**draw, "fixed": {"U1": 0.0, "C": float(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.0))}}
+        for draw in system_draws
+    ]
+
+
+def residuals_at(terms, values):
+    """The value of each equation, given as monomial -> float, at a point of all unknowns."""
+    point = [values.get(name, 0.0) for name in SYMBOLS]
+    return [
+        sum(c * math.prod(x**e for x, e in zip(point, mono)) for mono, c in eq.items())
+        for eq in terms
+    ]
+
+
 def contains(branch, point, tol=1e-9):
     """Whether a numeric point of all five unknowns lies in a drpkit branch."""
     for name, value in branch.constraints:
@@ -96,31 +116,38 @@ def family_point(solution, fixed, rng):
 @pytest.mark.parametrize("encoding", [0, 1], ids=["derived", "condensed"])
 def test_drpkit_branches_match_sympy_solution_sets(system_draws, templates, encoding):
     rng = np.random.default_rng(7 + encoding)
-    for draw in system_draws:
+    for draw in system_draws + pinned_amplitude_draws(system_draws):
         system, fixed = draw["systems"][encoding], draw["fixed"]
         label = (draw["m"], system.encoding, fixed)
         eqs = sympy_equations(templates, system, fixed)
         # the rebuilt equations are drpkit's, coefficient by coefficient
+        terms = []
         for eq, poly in zip(eqs, system.equations):
-            if fixed:
-                poly = poly.substitute("C", fixed["C"])
+            for name, value in (fixed or {}).items():
+                poly = poly.substitute(name, value)
             want = {m: float(c) for m, c in sp.Poly(eq, *UNKNOWNS).as_dict().items()}
             assert poly.terms.keys() == want.keys(), label
             for mono, coeff in poly.terms.items():
                 assert math.isclose(coeff, want[mono], rel_tol=1e-12), (label, mono)
+            terms.append(want)
 
+        # the condensed encoding has no solution with U1 = 0 and C != 0;
+        # every other draw has one
+        empty = system.encoding == "condensed" and "U1" in (fixed or {})
         branches = solve_system(system, fixed=fixed)
-        assert branches and not any(b.unresolved for b in branches), label
-        residuals = sp.lambdify(UNKNOWNS, eqs)
+        assert bool(branches) != empty and not any(b.unresolved for b in branches), label
         for branch in branches:
             for _ in range(10):
                 values = branch.sample(rng)
-                res = residuals(*(values.get(name, 0.0) for name in SYMBOLS))
+                res = residuals_at(terms, values)
                 assert max(abs(r) for r in res) <= 1e-9, (label, branch.describe(), values)
 
         unknowns = [x for x in UNKNOWNS if str(x) not in (fixed or {})]
-        families = sp.solve(eqs, unknowns, dict=True, manual=True)
-        assert families, label
+        # the lex Groebner basis spans the same ideal, so it has the same
+        # solutions; sympy solves it several times faster than the equations
+        basis = sp.groebner([eq for eq in eqs if eq != 0], *unknowns, order="lex")
+        families = sp.solve(list(basis.exprs), unknowns, dict=True, manual=True)
+        assert bool(families) != empty, label
         checked = 0
         for solution in families:
             for _ in range(5):
@@ -129,4 +156,4 @@ def test_drpkit_branches_match_sympy_solution_sets(system_draws, templates, enco
                     break
                 checked += 1
                 assert any(contains(b, point) for b in branches), (label, solution, point)
-        assert checked, label
+        assert checked or empty, label
